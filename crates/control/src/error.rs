@@ -5,8 +5,11 @@ use std::fmt;
 use hls_dfg::{NodeId, SignalId};
 
 /// Error produced while generating a [`crate::Controller`].
+///
+/// Exhaustive on purpose: every variant names its culprit, and
+/// `hls-sim` maps each one onto a `SimError` blaming the same node or
+/// signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum ControlError {
     /// An operation is not scheduled or not bound to an ALU.
     UnboundNode(NodeId),

@@ -94,10 +94,8 @@ pub fn emit_verilog(
         })
         .collect();
     let outputs: Vec<_> = dfg
-        .signals()
-        .filter(|(sid, s)| {
-            matches!(s.source(), SignalSource::Node(_)) && dfg.consumers(*sid).is_empty()
-        })
+        .design_outputs()
+        .map(|sid| (sid, dfg.signal(sid)))
         .collect();
 
     let _ = writeln!(out, "// generated by moveframe-hls from `{}`", dfg.name());

@@ -55,6 +55,11 @@ pub struct Dfg {
     pub(crate) memory: MemoryDecls,
     preds: Vec<Vec<NodeId>>,
     succs: Vec<Vec<NodeId>>,
+    /// CSR consumer index: the consumers of signal `s` are
+    /// `consumer_nodes[consumer_start[s]..consumer_start[s + 1]]`, each
+    /// node once, in id order.
+    consumer_start: Vec<u32>,
+    consumer_nodes: Vec<NodeId>,
     topo: Vec<NodeId>,
     /// Per-node compact index into `mutex_bits`, or `u32::MAX` for
     /// unconditional nodes (which exclude nothing). Only nodes inside a
@@ -171,6 +176,31 @@ impl Dfg {
                 }
             }
         }
+        // Consumer index, by counting sort over the signals. A node
+        // reading a signal twice (`mul x x`) is listed once.
+        fn distinct_inputs(node: &Node) -> impl Iterator<Item = usize> + '_ {
+            let inputs = &node.inputs;
+            (0..inputs.len())
+                .filter(move |&k| !inputs[..k].contains(&inputs[k]))
+                .map(move |k| inputs[k].index())
+        }
+        let mut consumer_start = vec![0u32; signals.len() + 1];
+        for node in &nodes {
+            for s in distinct_inputs(node) {
+                consumer_start[s + 1] += 1;
+            }
+        }
+        for s in 0..signals.len() {
+            consumer_start[s + 1] += consumer_start[s];
+        }
+        let mut fill: Vec<u32> = consumer_start[..signals.len()].to_vec();
+        let mut consumer_nodes = vec![NodeId(0); consumer_start[signals.len()] as usize];
+        for (i, node) in nodes.iter().enumerate() {
+            for s in distinct_inputs(node) {
+                consumer_nodes[fill[s] as usize] = NodeId(i as u32);
+                fill[s] += 1;
+            }
+        }
         // Kahn topological sort; detects cycles.
         let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
         let mut queue: Vec<NodeId> = indeg
@@ -235,6 +265,8 @@ impl Dfg {
             memory,
             preds,
             succs,
+            consumer_start,
+            consumer_nodes,
             topo,
             mutex_index,
             mutex_bits,
@@ -307,12 +339,19 @@ impl Dfg {
         &self.succs[id.index()]
     }
 
-    /// Nodes consuming the given signal.
-    pub fn consumers(&self, sig: SignalId) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|(_, n)| n.inputs.contains(&sig))
-            .map(|(id, _)| id)
-            .collect()
+    /// Nodes consuming the given signal, each once, in id order. An
+    /// index built with the graph: O(1), no node scan.
+    pub fn consumers(&self, sig: SignalId) -> &[NodeId] {
+        let s = sig.index();
+        &self.consumer_nodes[self.consumer_start[s] as usize..self.consumer_start[s + 1] as usize]
+    }
+
+    /// The design outputs: signals produced by a node that no node
+    /// consumes, in id order.
+    pub fn design_outputs(&self) -> impl Iterator<Item = SignalId> + '_ {
+        self.signals()
+            .filter(|(sid, s)| s.source.node().is_some() && self.consumers(*sid).is_empty())
+            .map(|(sid, _)| sid)
     }
 
     /// A precomputed topological order of the nodes.

@@ -152,7 +152,7 @@ impl Dfg {
         if index.index() + 1 != n.output().index() {
             return None;
         }
-        if self.consumers(index) != vec![node] {
+        if self.consumers(index) != [node] {
             return None;
         }
         Some(index)

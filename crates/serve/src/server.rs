@@ -226,6 +226,7 @@ impl Server {
 
 fn worker_loop(shared: &Shared) {
     while let Some(work) = shared.queue.pop() {
+        shared.app.inc("serve.worker.started".into(), 1);
         let started = Instant::now();
         let queue_ns = started.saturating_duration_since(work.enqueued).as_nanos() as u64;
         // A panic in parsing/scheduling answers 500 instead of
@@ -566,6 +567,8 @@ impl Reactor {
                                 0,
                             );
                             conn.ready.insert(seq, response);
+                        } else {
+                            shared.app.inc("serve.queue.admitted".into(), 1);
                         }
                     }
                     Err(e) => {

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use hls_control::ControlError;
 use hls_dfg::{NodeId, SignalId};
 
 /// Error produced by the interpreter or the RTL simulator.
@@ -23,6 +24,10 @@ pub enum SimError {
         /// The missing signal.
         signal: SignalId,
     },
+    /// The storage of this signal is inconsistent: it must be stored
+    /// but has no register, or the controller latches it although no
+    /// operation produces it.
+    Unstored(SignalId),
 }
 
 impl fmt::Display for SimError {
@@ -37,11 +42,25 @@ impl fmt::Display for SimError {
                     "operation {node} read signal {signal} before it was available"
                 )
             }
+            SimError::Unstored(s) => write!(f, "signal {s} has no consistent register"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+/// Controller generation failures, blamed on the node or signal at
+/// fault.
+impl From<ControlError> for SimError {
+    fn from(e: ControlError) -> Self {
+        match e {
+            ControlError::UnboundNode(node) | ControlError::SourceNotOnMux { node, .. } => {
+                SimError::Unbound(node)
+            }
+            ControlError::Unstored(signal) => SimError::Unstored(signal),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -66,7 +66,9 @@ pub struct Mismatch {
 ///
 /// [`SimError::MissingInput`] when the input vector is incomplete;
 /// [`SimError::ValueUnavailable`] when a value is read before the
-/// controller made it available (a synthesis bug).
+/// controller made it available (a synthesis bug);
+/// [`SimError::Unstored`] when the controller latches a signal that no
+/// operation produces.
 pub fn simulate(
     dfg: &Dfg,
     schedule: &Schedule,
@@ -76,23 +78,24 @@ pub fn simulate(
     inputs: &BTreeMap<SignalId, i64>,
 ) -> Result<SimOutcome, SimError> {
     let cs = schedule.control_steps();
-    // External values (inputs + constants).
-    let mut external: BTreeMap<SignalId, i64> = BTreeMap::new();
+    // Dense per-run state, indexed by signal or node id: external
+    // values (inputs + constants), topological rank (to order same-step
+    // chained activities) and the value each operation computed.
+    let mut external: Vec<Option<i64>> = vec![None; dfg.signal_count()];
     for (sid, sig) in dfg.signals() {
-        match sig.source() {
-            SignalSource::Constant(v) => {
-                external.insert(sid, v);
+        external[sid.index()] = match sig.source() {
+            SignalSource::Constant(v) => Some(v),
+            SignalSource::PrimaryInput if !dfg.consumers(sid).is_empty() => {
+                Some(*inputs.get(&sid).ok_or(SimError::MissingInput(sid))?)
             }
-            SignalSource::PrimaryInput => {
-                if dfg.consumers(sid).is_empty() {
-                    continue;
-                }
-                let v = *inputs.get(&sid).ok_or(SimError::MissingInput(sid))?;
-                external.insert(sid, v);
-            }
-            SignalSource::Node(_) => {}
-        }
+            _ => None,
+        };
     }
+    let mut rank = vec![0usize; dfg.node_count()];
+    for (i, &n) in dfg.topo_order().iter().enumerate() {
+        rank[n.index()] = i;
+    }
+    let mut values: Vec<Option<i64>> = vec![None; dfg.node_count()];
 
     // Register file, pre-loaded with inputs.
     let mut registers: BTreeMap<RegId, i64> = BTreeMap::new();
@@ -103,15 +106,6 @@ pub fn simulate(
         registers.insert(load.register, v);
     }
 
-    // Topological rank, to order same-step (chained) activities.
-    let rank: BTreeMap<NodeId, usize> = dfg
-        .topo_order()
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-
-    let mut node_values: BTreeMap<NodeId, i64> = BTreeMap::new();
     let mut memory = initial_memory(dfg);
     let mut trace: Vec<StepTrace> = Vec::with_capacity(cs as usize);
 
@@ -119,31 +113,26 @@ pub fn simulate(
         let mut alu_values: BTreeMap<crate::AluIdAlias, i64> = BTreeMap::new();
         let word = controller.word(hls_schedule::CStep::new(step));
         let mut activities = word.activities.clone();
-        activities.sort_by_key(|a| rank[&a.node]);
+        activities.sort_by_key(|a| rank[a.node.index()]);
 
         // Structural operand resolution, shared by ALU operations and
         // memory accesses.
         let resolve = |consumer: NodeId,
                        sig: SignalId,
                        registers: &BTreeMap<RegId, i64>,
-                       node_values: &BTreeMap<NodeId, i64>|
+                       values: &[Option<i64>]|
          -> Result<i64, SimError> {
+            let unavailable = SimError::ValueUnavailable {
+                node: consumer,
+                signal: sig,
+            };
             match dfg.signal(sig).source() {
                 SignalSource::Constant(_) | SignalSource::PrimaryInput => {
                     // Stored inputs read through their register;
                     // constants and unstored inputs through ports.
                     match datapath.register_allocation().register_of(sig) {
-                        Some(r) => registers
-                            .get(&r)
-                            .copied()
-                            .ok_or(SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            }),
-                        None => external
-                            .get(&sig)
-                            .copied()
-                            .ok_or(SimError::MissingInput(sig)),
+                        Some(r) => registers.get(&r).copied().ok_or(unavailable),
+                        None => external[sig.index()].ok_or(SimError::MissingInput(sig)),
                     }
                 }
                 SignalSource::Node(producer) => {
@@ -153,27 +142,13 @@ pub fn simulate(
                     if p_finish.get() >= step {
                         // Chained: combinational read of the producing
                         // ALU within this step.
-                        node_values
-                            .get(&producer)
-                            .copied()
-                            .ok_or(SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            })
+                        values[producer.index()].ok_or(unavailable)
                     } else {
-                        let r = datapath.register_allocation().register_of(sig).ok_or(
-                            SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            },
-                        )?;
-                        registers
-                            .get(&r)
-                            .copied()
-                            .ok_or(SimError::ValueUnavailable {
-                                node: consumer,
-                                signal: sig,
-                            })
+                        datapath
+                            .register_allocation()
+                            .register_of(sig)
+                            .and_then(|r| registers.get(&r).copied())
+                            .ok_or(unavailable)
                     }
                 }
             }
@@ -183,7 +158,7 @@ pub fn simulate(
             let node = dfg.node(activity.node);
             let mut vals = [0i64; 2];
             for (i, &sig) in node.inputs().iter().enumerate() {
-                vals[i] = resolve(activity.node, sig, &registers, &node_values)?;
+                vals[i] = resolve(activity.node, sig, &registers, &values)?;
             }
             let value = match node.kind() {
                 NodeKind::Op(k) => eval_op(k, vals[0], vals[1]),
@@ -196,7 +171,7 @@ pub fn simulate(
                 }
                 _ => return Err(SimError::Unsupported(activity.node)),
             };
-            node_values.insert(activity.node, value);
+            values[activity.node.index()] = Some(value);
             alu_values.insert(activity.alu, value);
         }
 
@@ -207,7 +182,7 @@ pub fn simulate(
         // in-step order is immaterial.
         let mut pending_stores: Vec<(ArrayId, usize, i64)> = Vec::new();
         let mut accesses = word.mem.clone();
-        accesses.sort_by_key(|m| rank[&m.node]);
+        accesses.sort_by_key(|m| rank[m.node.index()]);
         for access in &accesses {
             let node = dfg.node(access.node);
             let array = node
@@ -219,38 +194,34 @@ pub fn simulate(
                 .ok_or(SimError::Unsupported(access.node))?
                 .len();
             let index = wrap_index(
-                resolve(access.node, node.inputs()[0], &registers, &node_values)?,
+                resolve(access.node, node.inputs()[0], &registers, &values)?,
                 len,
             );
             let value = if access.write {
-                let v = resolve(access.node, node.inputs()[1], &registers, &node_values)?;
+                let v = resolve(access.node, node.inputs()[1], &registers, &values)?;
                 pending_stores.push((array, index, v));
                 v
             } else {
                 memory[&array][index]
             };
-            node_values.insert(access.node, value);
+            values[access.node.index()] = Some(value);
         }
         for (array, index, v) in pending_stores {
             memory.get_mut(&array).expect("validated above")[index] = v;
         }
 
-        // End of step: latch register writes.
+        // End of step: latch register writes. A write of a signal no
+        // operation produces is a controller fault on that signal.
         for write in &word.writes {
-            let producer =
-                dfg.signal(write.signal)
-                    .source()
-                    .node()
-                    .ok_or(SimError::ValueUnavailable {
-                        node: dfg.topo_order()[0],
-                        signal: write.signal,
-                    })?;
-            let v = *node_values
-                .get(&producer)
-                .ok_or(SimError::ValueUnavailable {
-                    node: producer,
-                    signal: write.signal,
-                })?;
+            let producer = dfg
+                .signal(write.signal)
+                .source()
+                .node()
+                .ok_or(SimError::Unstored(write.signal))?;
+            let v = values[producer.index()].ok_or(SimError::ValueUnavailable {
+                node: producer,
+                signal: write.signal,
+            })?;
             registers.insert(write.register, v);
         }
         trace.push(StepTrace {
@@ -261,17 +232,18 @@ pub fn simulate(
         });
     }
 
-    // Collect design outputs.
-    let mut outputs = BTreeMap::new();
-    for (sid, sig) in dfg.signals() {
-        if let SignalSource::Node(p) = sig.source() {
-            if dfg.consumers(sid).is_empty() {
-                if let Some(&v) = node_values.get(&p) {
-                    outputs.insert(sid, v);
-                }
-            }
-        }
-    }
+    let outputs = dfg
+        .design_outputs()
+        .filter_map(|sid| {
+            let producer = dfg.signal(sid).source().node()?;
+            values[producer.index()].map(|v| (sid, v))
+        })
+        .collect();
+    let node_values = values
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| v.map(|v| (NodeId::from_index(i), v)))
+        .collect();
 
     Ok(SimOutcome {
         node_values,
@@ -293,8 +265,11 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Propagates interpreter/simulator errors; controller generation
-/// failures surface as [`SimError::Unbound`].
+/// Propagates interpreter/simulator errors. A controller generation
+/// failure names its culprit: an unbound operation, or one whose
+/// operand source is missing from its multiplexer, surfaces as
+/// [`SimError::Unbound`] of that operation; a stored signal without a
+/// register as [`SimError::Unstored`] of that signal.
 pub fn check_equivalence(
     dfg: &Dfg,
     schedule: &Schedule,
@@ -302,8 +277,7 @@ pub fn check_equivalence(
     spec: &TimingSpec,
     inputs: &BTreeMap<SignalId, i64>,
 ) -> Result<Vec<Mismatch>, SimError> {
-    let controller = Controller::generate(dfg, schedule, datapath, spec)
-        .map_err(|_| SimError::Unbound(dfg.topo_order()[0]))?;
+    let controller = Controller::generate(dfg, schedule, datapath, spec)?;
     let (expected, expected_memory) = interpret_with_memory(dfg, inputs)?;
     let got = simulate(dfg, schedule, datapath, &controller, spec, inputs)?;
     let mut mismatches = Vec::new();
@@ -410,6 +384,112 @@ mod tests {
         let controller = Controller::generate(&dfg, &s, &dp, &spec).unwrap();
         let err = simulate(&dfg, &s, &dp, &controller, &spec, &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, SimError::MissingInput(_)));
+    }
+
+    /// Binds `(name, step, instance)` triples onto a fresh schedule.
+    fn bind(dfg: &Dfg, cs: u32, slots: &[(&str, u32, u32)]) -> Schedule {
+        let mut s = Schedule::new(dfg, cs);
+        for &(name, step, instance) in slots {
+            s.assign(
+                dfg.node_by_name(name).unwrap(),
+                Slot {
+                    step: CStep::new(step),
+                    unit: UnitId::Alu { instance },
+                },
+            );
+        }
+        s
+    }
+
+    fn two_adders() -> AluAllocation {
+        let lib = Library::ncr_like();
+        let mut alloc = AluAllocation::new();
+        alloc.push(lib.alu_by_name("add_sub").unwrap().clone());
+        alloc.push(lib.alu_by_name("add_sub").unwrap().clone());
+        alloc
+    }
+
+    #[test]
+    fn an_unbound_operation_is_blamed_by_name() {
+        let (dfg, mut s, dp, spec) = manual_design();
+        let q = dfg.node_by_name("q").unwrap();
+        assert_ne!(dfg.topo_order()[0], q);
+        s.unassign(q);
+        let inputs = random_inputs(&dfg, 1);
+        let err = check_equivalence(&dfg, &s, &dp, &spec, &inputs).unwrap_err();
+        assert_eq!(err, SimError::Unbound(q));
+    }
+
+    #[test]
+    fn an_operand_missing_from_its_mux_is_blamed_on_the_operation() {
+        // The data path puts q on ALU 1; the schedule moves it to ALU 0,
+        // whose port-1 mux never carries p's register.
+        let mut b = DfgBuilder::new("g");
+        let x = b.input("x");
+        let y = b.input("y");
+        let p = b.op("p", OpKind::Add, &[x, y]).unwrap();
+        b.op("q", OpKind::Sub, &[p, y]).unwrap();
+        let dfg = b.finish().unwrap();
+        let spec = TimingSpec::uniform_single_cycle();
+        let built = bind(&dfg, 2, &[("p", 1, 0), ("q", 2, 1)]);
+        let dp = Datapath::build(&dfg, &built, &two_adders(), &spec).unwrap();
+        let moved = bind(&dfg, 2, &[("p", 1, 0), ("q", 2, 0)]);
+        let q = dfg.node_by_name("q").unwrap();
+        assert_eq!(
+            Controller::generate(&dfg, &moved, &dp, &spec),
+            Err(hls_control::ControlError::SourceNotOnMux { node: q, port: 1 })
+        );
+        let inputs = random_inputs(&dfg, 1);
+        let err = check_equivalence(&dfg, &moved, &dp, &spec, &inputs).unwrap_err();
+        assert_eq!(err, SimError::Unbound(q));
+    }
+
+    #[test]
+    fn an_unregistered_stored_signal_is_blamed_on_its_reader() {
+        // The data path chains p into q within step 2, so p gets no
+        // register; the schedule then runs p a step earlier and q must
+        // read p from storage that does not exist.
+        let mut b = DfgBuilder::new("g");
+        let x = b.input("x");
+        let y = b.input("y");
+        let p = b.op("p", OpKind::Add, &[x, y]).unwrap();
+        let q = b.op("q", OpKind::Sub, &[p, y]).unwrap();
+        b.op("r", OpKind::Add, &[q, x]).unwrap();
+        let dfg = b.finish().unwrap();
+        let spec = TimingSpec::uniform_single_cycle();
+        let chained = bind(&dfg, 3, &[("p", 2, 0), ("q", 2, 1), ("r", 3, 0)]);
+        let dp = Datapath::build(&dfg, &chained, &two_adders(), &spec).unwrap();
+        assert_eq!(dp.register_allocation().register_of(p), None);
+        let split = bind(&dfg, 3, &[("p", 1, 0), ("q", 2, 1), ("r", 3, 0)]);
+        let inputs = random_inputs(&dfg, 1);
+        let err = check_equivalence(&dfg, &split, &dp, &spec, &inputs).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ValueUnavailable {
+                node: dfg.node_by_name("q").unwrap(),
+                signal: p,
+            }
+        );
+    }
+
+    #[test]
+    fn controller_errors_keep_their_culprit() {
+        use hls_control::ControlError;
+        let (dfg, ..) = manual_design();
+        let q = dfg.node_by_name("q").unwrap();
+        let r = dfg.signal_by_name("r").unwrap();
+        assert_eq!(
+            SimError::from(ControlError::UnboundNode(q)),
+            SimError::Unbound(q)
+        );
+        assert_eq!(
+            SimError::from(ControlError::SourceNotOnMux { node: q, port: 2 }),
+            SimError::Unbound(q)
+        );
+        assert_eq!(
+            SimError::from(ControlError::Unstored(r)),
+            SimError::Unstored(r)
+        );
     }
 
     #[test]

@@ -1240,12 +1240,8 @@ fn run(command: Command) -> Result<(), String> {
                 let inputs = random_inputs(&dfg, 0);
                 let values = interpret(&dfg, &inputs).map_err(|e| e.to_string())?;
                 let expected: std::collections::BTreeMap<_, _> = dfg
-                    .signals()
-                    .filter(|(sid, s)| {
-                        matches!(s.source(), moveframe_hls::dfg::SignalSource::Node(_))
-                            && dfg.consumers(*sid).is_empty()
-                    })
-                    .map(|(sid, _)| (sid, values[&sid]))
+                    .design_outputs()
+                    .map(|sid| (sid, values[&sid]))
                     .collect();
                 let tb = emit_testbench(&dfg, &inputs, &expected).map_err(|e| e.to_string())?;
                 println!("\n{tb}");

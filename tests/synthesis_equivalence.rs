@@ -165,13 +165,7 @@ fn verilog_emission_covers_extended_benchmarks() {
         assert!(v.contains("module"));
         assert!(v.contains("endmodule"));
         // One output port per design output.
-        let outputs = dfg
-            .signals()
-            .filter(|(sid, s)| {
-                matches!(s.source(), moveframe_hls::dfg::SignalSource::Node(_))
-                    && dfg.consumers(*sid).is_empty()
-            })
-            .count();
+        let outputs = dfg.design_outputs().count();
         assert_eq!(v.matches("output wire [WIDTH-1:0]").count(), outputs);
     }
 }
