@@ -62,8 +62,13 @@ impl FrameSnapshot {
 /// occupy/vacate of a neighbour instead:
 ///
 /// * [`BoundsCache::on_assign`] — O(degree) max/min merges;
-/// * [`BoundsCache::on_unassign`] — O(degree × neighbour degree)
-///   recomputation, paid only on the rare local-rescheduling path.
+/// * [`BoundsCache::on_unassign`] — recomputes each neighbour's bound
+///   from that neighbour's own neighbour list (the sum of neighbour
+///   degrees), then repairs the chained finish offsets of the scheduled
+///   chainable successors it reaches. It allocates nothing and does no
+///   O(node count) work per call: the partition stitcher and the
+///   iterate splice vacate every boundary or region node on every
+///   sweep, so this is a hot path, not a rare one.
 ///
 /// Effective cycle counts (declared cycles, or `⌈delay/T⌉` under a
 /// chaining clock) are precomputed per node as well, since they are
@@ -81,6 +86,25 @@ pub struct BoundsCache {
     pred_finish: Vec<u32>,
     /// Min start step over scheduled successors (`u32::MAX` = none).
     succ_start: Vec<u32>,
+    /// Reusable work space of [`BoundsCache::on_unassign`]'s offset
+    /// repair.
+    repair: RepairScratch,
+}
+
+/// Work space of the chained-offset repair, reused across calls so a
+/// vacate allocates nothing in steady state.
+///
+/// `stamp` marks the nodes the current repair has visited: a node is
+/// visited when its stamp equals `epoch`, and bumping `epoch` clears
+/// every mark at once. `stamp` is sized to the graph the first time a
+/// scheduled chainable successor shows up, so unclocked schedules never
+/// allocate it.
+#[derive(Debug, Clone, Default)]
+struct RepairScratch {
+    stamp: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+    affected: Vec<NodeId>,
 }
 
 impl BoundsCache {
@@ -115,6 +139,7 @@ impl BoundsCache {
             delays,
             pred_finish: vec![0; n],
             succ_start: vec![u32::MAX; n],
+            repair: RepairScratch::default(),
         }
     }
 
@@ -183,21 +208,35 @@ impl BoundsCache {
         offsets[node.index()] = Delay::ZERO;
         // Offsets only accumulate through scheduled chainable nodes, so
         // only those can go stale.
-        let mut affected: Vec<NodeId> = Vec::new();
-        let mut seen = vec![false; dfg.node_count()];
-        let mut stack: Vec<NodeId> = dfg.succs(node).to_vec();
-        while let Some(q) = stack.pop() {
-            if seen[q.index()] || !self.chainable[q.index()] || schedule.start(q).is_none() {
+        let scratch = &mut self.repair;
+        scratch.epoch = scratch.epoch.wrapping_add(1);
+        if scratch.epoch == 0 {
+            // The stamps wrapped: clear them once so no stale mark
+            // matches the restarted epoch.
+            scratch.stamp.fill(0);
+            scratch.epoch = 1;
+        }
+        scratch.affected.clear();
+        scratch.stack.clear();
+        scratch.stack.extend_from_slice(dfg.succs(node));
+        while let Some(q) = scratch.stack.pop() {
+            if !self.chainable[q.index()] || schedule.start(q).is_none() {
                 continue;
             }
-            seen[q.index()] = true;
-            affected.push(q);
-            stack.extend_from_slice(dfg.succs(q));
+            if scratch.stamp.is_empty() {
+                scratch.stamp = vec![0; dfg.node_count()];
+            }
+            if scratch.stamp[q.index()] == scratch.epoch {
+                continue;
+            }
+            scratch.stamp[q.index()] = scratch.epoch;
+            scratch.affected.push(q);
+            scratch.stack.extend_from_slice(dfg.succs(q));
         }
         // Builder node indices respect dependencies, so index order is a
         // topological order of the repair set.
-        affected.sort_unstable();
-        for &q in &affected {
+        scratch.affected.sort_unstable();
+        for &q in &scratch.affected {
             let start = schedule.start(q).expect("repair set is scheduled");
             let mut base = Delay::ZERO;
             for &p in dfg.preds(q) {
@@ -226,11 +265,17 @@ impl BoundsCache {
     }
 }
 
-/// Everything frame computation needs to see.
-pub(crate) struct FrameCtx<'a> {
+/// Everything frame computation needs to see: the graph, the partial
+/// schedule and the incremental state kept in lock-step with it.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameCtx<'a> {
+    /// The graph being scheduled.
     pub dfg: &'a Dfg,
+    /// Operation timing.
     pub spec: &'a TimingSpec,
+    /// ASAP/ALAP frames (the primary frames).
     pub frames: &'a TimeFrames,
+    /// The partial schedule.
     pub schedule: &'a Schedule,
     /// Chaining clock; `None` disables chaining.
     pub clock: Option<ClockPeriod>,
@@ -406,22 +451,14 @@ pub(crate) fn compute_move_frame(
     let (earliest, latest) = feasible_step_range(ctx, node);
 
     let mut movable = Vec::new();
-    let mut af_steps = Vec::new();
-    let is_mem = matches!(class, FuClass::Mem(_));
     let mut step = earliest;
     while step <= latest {
         if ctx.dep_feasible(node, step) {
-            let before = movable.len();
             for fu in 1..=current_fu {
                 let fu = FuIndex::new(fu);
                 if grid.is_free_for(ctx.dfg, node, step, fu, cycles) {
                     movable.push(Position { step, fu });
                 }
-            }
-            if is_mem && movable.len() == before {
-                // Every visible port of the bank is taken this step: the
-                // step belongs to the access-conflict frame.
-                af_steps.push(step);
             }
         }
         step = step.offset(1);
@@ -435,9 +472,170 @@ pub(crate) fn compute_move_frame(
         max_fu: grid.max_fu(),
         earliest_feasible: earliest,
         latest_feasible: latest,
-        af_steps,
+        af_steps: access_conflict_steps(ctx, node, (earliest, latest), grid, current_fu),
         movable,
     }
+}
+
+/// The access-conflict frame `AF` of `node` over the feasible `range`:
+/// the dependency-feasible steps at which every visible port of the
+/// node's memory bank is taken. Always empty for non-memory classes,
+/// where a fully-occupied step is an ordinary resource conflict.
+pub(crate) fn access_conflict_steps(
+    ctx: &FrameCtx<'_>,
+    node: NodeId,
+    (earliest, latest): (CStep, CStep),
+    grid: &Grid,
+    columns: u32,
+) -> Vec<CStep> {
+    if !matches!(ctx.dfg.node(node).kind().fu_class(), FuClass::Mem(_)) {
+        return Vec::new();
+    }
+    let cycles = ctx.effective_cycles(node);
+    (earliest.get()..=latest.get())
+        .map(CStep::new)
+        .filter(|&step| {
+            ctx.dep_feasible(node, step)
+                && !(1..=columns)
+                    .any(|fu| grid.is_free_for(ctx.dfg, node, step, FuIndex::new(fu), cycles))
+        })
+        .collect()
+}
+
+/// The order in which [`first_fit`] walks the cells of a move frame.
+///
+/// Each order is a total order on grid cells, so the first free cell of
+/// the walk is the minimum of the whole frame under that order — for
+/// MFS, the minimum-energy cell of its static Liapunov function (the
+/// proof is on [`crate::mfs::schedule_traced_with_frames`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FitOrder {
+    /// Earliest step first, lowest column first within a step: the
+    /// order of `V = x + n·y` (time-constrained MFS), and the earliest
+    /// cell the partition stitcher and the compressing splice take.
+    StepMajor,
+    /// Lowest column first, earliest step first within a column: the
+    /// order of `V = cs·x + y` (resource-constrained MFS).
+    ColumnMajor,
+    /// Latest step first, lowest column first within a step: the
+    /// re-timing splice, which drifts producers toward their consumers.
+    LatestStep,
+}
+
+impl FitOrder {
+    /// The walk key of `cell`: the walk visits cells in increasing key.
+    fn key(self, cell: Position) -> (u32, u32) {
+        let (step, fu) = (cell.step.get(), cell.fu.get());
+        match self {
+            FitOrder::StepMajor => (step, fu),
+            FitOrder::ColumnMajor => (fu, step),
+            FitOrder::LatestStep => (u32::MAX - step, fu),
+        }
+    }
+}
+
+/// The answer of a [`first_fit`] query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FirstFit {
+    /// The first free, dependency-feasible cell of the walk, or `None`
+    /// when the walk found none.
+    pub cell: Option<Position>,
+    /// Cells the walk tested for occupancy, the found one included.
+    pub probed: u32,
+}
+
+/// The first free cell of `node`'s move frame in `order`, without
+/// building the frame.
+///
+/// The walk covers the same cells as [`probe_move_frame`]: the
+/// dependency-feasible step range, columns `1..=columns`, and the cells
+/// [`Grid::is_free_for`] admits. It stops at the first free cell, or as
+/// soon as it reaches `before` (a strict upper bound in walk order — the
+/// stitcher passes a node's old slot so only a strictly better cell
+/// moves it). So `first_fit(..).cell` equals the minimum of
+/// `probe_move_frame(..).movable` in walk order, restricted to cells
+/// below `before`.
+pub fn first_fit(
+    ctx: &FrameCtx<'_>,
+    node: NodeId,
+    grid: &Grid,
+    columns: u32,
+    order: FitOrder,
+    before: Option<Position>,
+) -> FirstFit {
+    let range = feasible_step_range(ctx, node);
+    first_fit_in(ctx, node, range, grid, columns, order, before, |_| {})
+}
+
+/// [`first_fit`] over a precomputed feasible `range`, reporting every
+/// probed cell to `on_probe` in walk order.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn first_fit_in(
+    ctx: &FrameCtx<'_>,
+    node: NodeId,
+    (earliest, latest): (CStep, CStep),
+    grid: &Grid,
+    columns: u32,
+    order: FitOrder,
+    before: Option<Position>,
+    mut on_probe: impl FnMut(Position),
+) -> FirstFit {
+    let cycles = ctx.effective_cycles(node);
+    let bound = before.map(|b| order.key(b));
+    let mut probed = 0u32;
+    // `Some(answer)` ends the walk.
+    let mut visit = |step: u32, fu: u32| -> Option<Option<Position>> {
+        let cell = Position {
+            step: CStep::new(step),
+            fu: FuIndex::new(fu),
+        };
+        if bound.is_some_and(|b| order.key(cell) >= b) {
+            // Every later cell of the walk is past the bound too.
+            return Some(None);
+        }
+        probed += 1;
+        on_probe(cell);
+        grid.is_free_for(ctx.dfg, node, cell.step, cell.fu, cycles)
+            .then_some(Some(cell))
+    };
+    // Plain loops with a labelled break: the walk is the scheduler's
+    // innermost loop, and a `ControlFlow` + `try_for_each` form over
+    // inclusive ranges measured about twice as slow.
+    let (lo, hi) = (earliest.get(), latest.get() + 1);
+    let feasible = |s: u32| ctx.dep_feasible(node, CStep::new(s));
+    let cell = 'walk: {
+        match order {
+            FitOrder::StepMajor => {
+                for s in (lo..hi).filter(|&s| feasible(s)) {
+                    for f in 1..columns + 1 {
+                        if let Some(answer) = visit(s, f) {
+                            break 'walk answer;
+                        }
+                    }
+                }
+            }
+            FitOrder::ColumnMajor => {
+                for f in 1..columns + 1 {
+                    for s in (lo..hi).filter(|&s| feasible(s)) {
+                        if let Some(answer) = visit(s, f) {
+                            break 'walk answer;
+                        }
+                    }
+                }
+            }
+            FitOrder::LatestStep => {
+                for s in (lo..hi).rev().filter(|&s| feasible(s)) {
+                    for f in 1..columns + 1 {
+                        if let Some(answer) = visit(s, f) {
+                            break 'walk answer;
+                        }
+                    }
+                }
+            }
+        }
+        None
+    };
+    FirstFit { cell, probed }
 }
 
 /// Computes the move frame of `node` from caller-owned state — the

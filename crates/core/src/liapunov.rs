@@ -112,6 +112,35 @@ mod tests {
     }
 
     #[test]
+    fn time_constrained_order_holds_at_column_n() {
+        // MFS bounds a frame's column by n itself (a derived max_j grows
+        // to node_count + 1 = n), so the step-major order must hold
+        // even in column n.
+        let n = 6;
+        let v = StaticLiapunov::new(MfsObjective::TimeConstrained, n, 10);
+        for t in 1..10 {
+            assert!(v.value(n, t) < v.value(1, t + 1));
+        }
+    }
+
+    #[test]
+    fn resource_constrained_energy_order_is_column_major() {
+        // Sorting every cell of a cs-step grid by energy walks it column
+        // by column, earliest step first within a column — the order
+        // first-fit placement uses.
+        let (cols, cs) = (5u32, 9u32);
+        let v = StaticLiapunov::new(MfsObjective::ResourceConstrained, cols, cs);
+        let mut by_energy: Vec<(u32, u32)> = (1..=cols)
+            .flat_map(|x| (1..=cs).map(move |y| (x, y)))
+            .collect();
+        by_energy.sort_by_key(|&(x, y)| v.value(x, y));
+        let column_major: Vec<(u32, u32)> = (1..=cols)
+            .flat_map(|x| (1..=cs).map(move |y| (x, y)))
+            .collect();
+        assert_eq!(by_energy, column_major);
+    }
+
+    #[test]
     fn ties_are_impossible_within_a_grid() {
         // Distinct positions have distinct energies inside the bounds.
         let v = StaticLiapunov::new(MfsObjective::TimeConstrained, 5, 9);

@@ -56,8 +56,11 @@ pub mod loops;
 pub mod mfs;
 pub mod mfsa;
 pub mod pipeline;
+pub mod reframe;
 
 pub use cancel::CancelToken;
 pub use error::MoveFrameError;
-pub use frame::{probe_move_frame, BoundsCache, FrameSnapshot, Position};
+pub use frame::{
+    first_fit, probe_move_frame, BoundsCache, FirstFit, FitOrder, FrameCtx, FrameSnapshot, Position,
+};
 pub use liapunov::{MfsObjective, StaticLiapunov};

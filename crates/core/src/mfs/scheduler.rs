@@ -10,9 +10,12 @@ use hls_schedule::{
 
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
-use crate::frame::{compute_move_frame, BoundsCache, FrameCtx, FrameSnapshot};
+use crate::frame::{
+    access_conflict_steps, compute_move_frame, feasible_step_range, first_fit_in, BoundsCache,
+    FitOrder, FrameCtx, FrameSnapshot, Position,
+};
 use crate::mfs::MfsConfig;
-use crate::{MoveFrameError, StaticLiapunov};
+use crate::{MfsObjective, MoveFrameError, StaticLiapunov};
 
 /// The result of an MFS run.
 #[derive(Debug, Clone)]
@@ -108,8 +111,9 @@ pub fn schedule(
 /// Event conventions (see `hls-telemetry`):
 ///
 /// * `FrameComputed` — one per placement attempt, with the PF length,
-///   hidden RF columns, FF step count and the move-frame size;
-/// * `EnergyEvaluated` — one per free cell of the move frame;
+///   hidden RF columns, FF step count and, in `mf_size`, the number of
+///   cells the first-fit search probed;
+/// * `EnergyEvaluated` — one per probed cell, in search order;
 /// * `MoveCommitted` — `from` is the present position `O^p` (the ALFAP
 ///   corner at the current column), `to` the committed cell, `v` its
 ///   static Liapunov energy, and `system_v` the total system energy
@@ -135,6 +139,31 @@ pub fn schedule_traced(
 }
 
 /// [`schedule_traced`] with optionally precomputed time frames.
+///
+/// # Placement by first fit
+///
+/// Each operation takes the minimum-energy cell of its move frame. The
+/// frame is never enumerated: both static Liapunov functions order the
+/// cells totally, so the minimum is the first free cell of a walk in
+/// that order ([`FitOrder`]), and the search stops there.
+///
+/// * Time-constrained, `V = x + n·y`: a frame cell has column
+///   `x ≤ current_j ≤ max_j ≤ node_count + 1 ≤ n` (a derived `max_j`
+///   grows at most to `node_count + 1`; `n` is one more than the largest
+///   `max_j` or the node count, whichever is larger). So
+///   `V(x, y) ≤ n·(y + 1) < V(1, y + 1)`: every column of step `y` beats
+///   every column of step `y + 1`, and the walk is step-major.
+/// * Resource-constrained, `V = cs·x + y`: a frame cell has step
+///   `y ≤ cs`, so `V(x, y) ≤ cs·(x + 1) < V(x + 1, 1)`: every step of
+///   column `x` beats every step of column `x + 1`, and the walk is
+///   column-major.
+///
+/// The counters and events describe that search: `mfs.energy_evaluations`,
+/// the `mfs.mf_size` histogram and `FrameComputed.mf_size` count probed
+/// cells, and one `EnergyEvaluated` is emitted per probed cell. With
+/// [`MfsConfig::with_frame_recording`] the full frame is computed as
+/// well, for the snapshot; debug builds then check that its minimum is
+/// the first-fit cell.
 ///
 /// Batch harnesses (the `hls-explore` engine) compute ASAP/ALAP frames
 /// once per `(dfg, spec, cs, clock)` and share them across every design
@@ -218,6 +247,10 @@ pub fn schedule_traced_with_frames(
         .max(dfg.node_count() as u32)
         + 1;
     let liapunov = StaticLiapunov::new(config.objective(), n_bound, cs);
+    let fit_order = match config.objective() {
+        MfsObjective::TimeConstrained => FitOrder::StepMajor,
+        MfsObjective::ResourceConstrained => FitOrder::ColumnMajor,
+    };
 
     // Step 3: grids (the ASNAP/ALFAP tables reduce to per-class grids
     // bounded by [1, cs] × [1, max_j]).
@@ -284,55 +317,83 @@ pub fn schedule_traced_with_frames(
                 0
             };
 
+            // Probed cells of the current search, kept only for tracing.
+            let mut probes: Vec<Position> = Vec::new();
             for &node in &order {
                 config.cancel().checkpoint()?;
                 let class = dfg.node(node).kind().fu_class();
                 let cycles = bounds.cycles(node);
-                let snap = {
-                    let ctx = FrameCtx {
-                        dfg,
-                        spec,
-                        frames: &frames,
-                        schedule: &sched,
-                        clock: config.clock(),
-                        offsets: &offsets,
-                        bounds: &bounds,
-                    };
-                    compute_move_frame(&ctx, node, &pass_grids[&class], current[&class])
+                let grid = &pass_grids[&class];
+                let columns = current[&class];
+                let ctx = FrameCtx {
+                    dfg,
+                    spec,
+                    frames: &frames,
+                    schedule: &sched,
+                    clock: config.clock(),
+                    offsets: &offsets,
+                    bounds: &bounds,
                 };
+                let range = feasible_step_range(&ctx, node);
+                let tracing = instr.enabled();
+                probes.clear();
+                let fit = first_fit_in(&ctx, node, range, grid, columns, fit_order, None, |p| {
+                    if tracing {
+                        probes.push(p);
+                    }
+                });
+                let snap = config.records_frames().then(|| {
+                    let snap = compute_move_frame(&ctx, node, grid, columns);
+                    debug_assert_eq!(
+                        snap.movable
+                            .iter()
+                            .min_by_key(|p| (
+                                liapunov.value(p.fu.get(), p.step.get()),
+                                p.step,
+                                p.fu
+                            ))
+                            .copied(),
+                        fit.cell,
+                        "first fit must find the frame's minimum-energy cell"
+                    );
+                    snap
+                });
+                let (earliest, latest) = range;
+                let (asap, alap) = (frames.asap(node), frames.alap(node));
                 instr.inc("mfs.frames_computed", 1);
                 {
                     // Which bound derivation ran: the O(1) cached formula,
                     // or the chaining boundary walk (a scheduled
                     // predecessor finishes inside the primary frame)?
                     let m = bounds.pred_finish(node);
-                    let (asap_b, alap_b) = snap.primary;
-                    if m != 0 && m >= asap_b.get() && m <= alap_b.get() {
+                    if m != 0 && m >= asap.get() && m <= alap.get() {
                         instr.inc("mfs.bounds.boundary_walks", 1);
                     } else {
                         instr.inc("mfs.bounds.fast_path", 1);
                     }
                 }
-                instr.inc("mfs.energy_evaluations", snap.movable.len() as u64);
-                instr.observe("mfs.mf_size", snap.movable.len() as u64);
-                if !snap.af_steps.is_empty() {
-                    // Bank-port saturation carved steps out of this frame.
-                    instr.inc("mem.port_conflicts", 1);
-                    instr.inc("mem.af_steps_excluded", snap.af_steps.len() as u64);
+                instr.inc("mfs.energy_evaluations", fit.probed as u64);
+                instr.observe("mfs.mf_size", fit.probed as u64);
+                if matches!(class, FuClass::Mem(_)) {
+                    let af = access_conflict_steps(&ctx, node, range, grid, columns).len();
+                    if af > 0 {
+                        // Bank-port saturation carved steps out of this frame.
+                        instr.inc("mem.port_conflicts", 1);
+                        instr.inc("mem.af_steps_excluded", af as u64);
+                    }
                 }
-                if instr.enabled() {
-                    let (asap, alap) = snap.primary;
+                if tracing {
                     // Forbidden steps: [ASAP, earliest) and (latest, ALAP].
-                    let ff = snap.earliest_feasible.get().saturating_sub(asap.get())
-                        + alap.get().saturating_sub(snap.latest_feasible.get());
+                    let ff = earliest.get().saturating_sub(asap.get())
+                        + alap.get().saturating_sub(latest.get());
                     instr.emit(TraceEvent::FrameComputed {
                         op: node.index() as u32,
                         pf: alap.get() - asap.get() + 1,
-                        rf: snap.max_fu - snap.current_fu,
+                        rf: grid.max_fu() - columns,
                         ff,
-                        mf_size: snap.movable.len() as u32,
+                        mf_size: fit.probed,
                     });
-                    for p in &snap.movable {
+                    for p in &probes {
                         instr.emit(TraceEvent::EnergyEvaluated {
                             op: node.index() as u32,
                             pos: (p.fu.get(), p.step.get()),
@@ -340,25 +401,9 @@ pub fn schedule_traced_with_frames(
                         });
                     }
                 }
-                let best = snap
-                    .movable
-                    .iter()
-                    .min_by_key(|p| (liapunov.value(p.fu.get(), p.step.get()), p.step, p.fu))
-                    .copied();
-                match best {
+                match fit.cell {
                     Some(pos) => {
-                        let offset = {
-                            let ctx = FrameCtx {
-                                dfg,
-                                spec,
-                                frames: &frames,
-                                schedule: &sched,
-                                clock: config.clock(),
-                                offsets: &offsets,
-                                bounds: &bounds,
-                            };
-                            ctx.offset_after(node, pos.step)
-                        };
+                        let offset = ctx.offset_after(node, pos.step);
                         pass_grids
                             .get_mut(&class)
                             .expect("grid exists for every class")
@@ -383,15 +428,13 @@ pub fn schedule_traced_with_frames(
                                 op: node.index() as u32,
                                 // O^p: the ALFAP corner of the frame at the
                                 // current column (paper §3.2).
-                                from: Some((snap.current_fu, snap.primary.1.get())),
+                                from: Some((columns, alap.get())),
                                 to: (pos.fu.get(), pos.step.get()),
                                 v,
                                 system_v: Some(system_v),
                             });
                         }
-                        if config.records_frames() {
-                            snapshots.push(snap);
-                        }
+                        snapshots.extend(snap);
                     }
                     None => {
                         // Local rescheduling: widen the visible columns and

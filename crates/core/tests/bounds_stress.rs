@@ -155,7 +155,14 @@ fn node_of(dfg: &Dfg, sig: SignalId) -> NodeId {
     }
 }
 
-fn stress(dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>, seed: u64, cs: u32) {
+fn stress(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    clock: Option<ClockPeriod>,
+    seed: u64,
+    cs: u32,
+    steps: usize,
+) {
     let frames = match clock {
         Some(t) => chained_frames(dfg, spec, t, cs).unwrap().into_frames(),
         None => TimeFrames::compute(dfg, spec, cs).unwrap(),
@@ -172,7 +179,7 @@ fn stress(dfg: &Dfg, spec: &TimingSpec, clock: Option<ClockPeriod>, seed: u64, c
         state % m
     };
     let mut trail = String::new();
-    for _ in 0..64 {
+    for _ in 0..steps {
         let id = ids[next(ids.len() as u64) as usize];
         if sched.start(id).is_some() {
             sched.unassign(id);
@@ -258,7 +265,24 @@ proptest! {
             1 => (TimingSpec::two_cycle_multiply(), None),
             _ => (TimingSpec::with_delays(), Some(ClockPeriod::new(100))),
         };
-        stress(&dfg, &spec, clock, seed, 12);
+        stress(&dfg, &spec, clock, seed, 12, 64);
+    }
+
+    /// Long chained vacate/place sequences on wider graphs: one cache
+    /// serves thousands of `on_unassign` calls, so its reused repair
+    /// buffer must never carry a mark or a repair-set entry from one
+    /// call into the next.
+    #[test]
+    fn warm_offsets_survive_long_clocked_sequences(
+        seed in 0u64..100_000,
+        layers in 3usize..7,
+        width in 2usize..6,
+        period in 0usize..3,
+    ) {
+        let dfg = random_dag(seed, layers, width);
+        // Tighter clocks chain less and stretch slow ops over steps.
+        let clock = ClockPeriod::new([100, 150, 250][period]);
+        stress(&dfg, &TimingSpec::with_delays(), Some(clock), seed, 16, 1500);
     }
 
     /// Same contract under memory banks: hazard-token edges and the
@@ -275,7 +299,7 @@ proptest! {
             0 => TimingSpec::uniform_single_cycle(),
             _ => TimingSpec::two_cycle_multiply(),
         };
-        stress(&dfg, &spec, None, seed, 12);
+        stress(&dfg, &spec, None, seed, 12, 64);
     }
 }
 

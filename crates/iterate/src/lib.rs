@@ -57,9 +57,9 @@ use hls_rtl::{CostReport, Datapath};
 use hls_schedule::{verify_traced, Schedule, ScheduleStats, UnitId, VerifyOptions};
 use hls_telemetry::Instrument;
 use moveframe::mfsa::MfsaOutcome;
+use moveframe::reframe::{slide_on_units, Direction};
 
 pub use extract::{extract_region, Region};
-use splice::Direction;
 
 /// Errors of the refine loop.
 #[derive(Debug)]
@@ -255,7 +255,7 @@ pub fn refine(
             let mut candidate = current.clone();
             let splice_moves = instr.span(span_name, |_| {
                 if alu_bound {
-                    Ok(splice::sweep_alu(
+                    Ok(slide_on_units(
                         dfg,
                         spec,
                         config.clock,
@@ -263,7 +263,8 @@ pub fn refine(
                         &region.nodes,
                         direction,
                         config.max_sweeps,
-                    ))
+                    )
+                    .0)
                 } else {
                     splice::sweep_fu(
                         dfg,

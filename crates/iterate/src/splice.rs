@@ -7,15 +7,14 @@
 //!
 //! * [`sweep_fu`] (class-grid schedules, MFS and the baselines):
 //!   vacate from the schedule, [`BoundsCache`] and occupancy grid, then
-//!   re-frame with [`probe_move_frame`] — the vacate→re-frame contract
-//!   `crates/core/tests/reframe.rs` pins, including chained offsets and
-//!   the memory access-conflict frames.
-//! * [`sweep_alu`] (ALU-bound schedules, MFSA): slide each region node
+//!   re-place with [`first_fit`] — the earliest free cell for
+//!   compression, the latest for re-timing — over the same frame the
+//!   vacate→re-frame contract `crates/core/tests/reframe.rs` pins,
+//!   including chained offsets and the memory access-conflict frames.
+//! * ALU-bound schedules (MFSA) go through
+//!   [`moveframe::reframe::slide_on_units`]: each region node slides
 //!   along its *own* unit, preserving both the allocation and (for
-//!   memory accesses) the port binding, using the same [`BoundsCache`]
-//!   feasibility bounds. Sliding never lands a node on a scheduled
-//!   neighbour's boundary step, so no new chaining is created and the
-//!   clock budget cannot overflow.
+//!   memory accesses) the port binding.
 //!
 //! Both kernels sweep the region in topological order and repeat until
 //! a fixpoint or the sweep cap; every data structure is ordered
@@ -26,27 +25,11 @@ use std::collections::BTreeMap;
 
 use hls_celllib::{ClockPeriod, Delay, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
-use hls_schedule::{chained_frames, CStep, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use hls_schedule::{chained_frames, Grid, Schedule, Slot, TimeFrames, UnitId};
+use moveframe::reframe::{Direction, COLUMN_CAP};
+use moveframe::{first_fit, BoundsCache, FitOrder, FrameCtx};
 
 use crate::IterateError;
-
-/// Columns the re-frame probe exposes per class — compression needs *a*
-/// free column at a better step, not the full column space (same cap as
-/// the partition stitcher).
-const COLUMN_CAP: u32 = 64;
-
-/// Which way a splice moves region nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Direction {
-    /// Compression: earliest improving `(step, column)` — shortens the
-    /// critical cone and frees access-conflict steps.
-    Earlier,
-    /// Register re-timing: latest feasible step at or below the
-    /// horizon — producers drift toward their consumers, shrinking
-    /// value lifetimes without touching the schedule length.
-    Later,
-}
 
 /// True chain finish offsets of `schedule`, recomputed from scratch in
 /// dependency (index) order — the recipe `bounds_stress.rs` pins
@@ -182,6 +165,12 @@ pub(crate) fn sweep_fu(
         Direction::Earlier => region.to_vec(),
         Direction::Later => region.iter().rev().copied().collect(),
     };
+    // The grids span exactly the achieved horizon, so every cell they
+    // admit finishes within it.
+    let fit_order = match direction {
+        Direction::Earlier => FitOrder::StepMajor,
+        Direction::Later => FitOrder::LatestStep,
+    };
     let mut moves = 0u64;
     for _ in 0..max_sweeps {
         let mut moved = false;
@@ -209,49 +198,45 @@ pub(crate) fn sweep_fu(
             };
             let cycles = bounds.cycles(node);
             let grid = grids.get_mut(&class).expect("class grid exists");
-            let snapshot = probe_move_frame(
+            let ctx = FrameCtx {
                 dfg,
                 spec,
-                &frames,
+                frames: &frames,
                 schedule,
                 clock,
-                &offsets,
-                &bounds,
+                offsets: &offsets,
+                bounds: &bounds,
+            };
+            let fit = first_fit(
+                &ctx,
                 node,
                 grid,
                 grid.max_fu().min(COLUMN_CAP),
+                fit_order,
+                None,
             );
-            let best = match direction {
-                Direction::Earlier => snapshot.movable.iter().map(|p| (p.step, p.fu)).min(),
-                Direction::Later => snapshot
-                    .movable
-                    .iter()
-                    .map(|p| (p.step, p.fu))
-                    .filter(|&(s, _)| s.finish(cycles).get() <= horizon)
-                    .max_by_key(|&(s, f)| (s, std::cmp::Reverse(f))),
-            };
             // A region node with no feasible cell means this direction
             // cannot re-place the subgraph — abandon the splice; the
             // caller discards the half-built candidate.
-            let Some(best) = best else {
+            let Some(best) = fit.cell else {
                 return Ok(0);
             };
             schedule.assign(
                 node,
                 Slot {
-                    step: best.0,
+                    step: best.step,
                     unit: UnitId::Fu {
                         class,
-                        index: best.1,
+                        index: best.fu,
                     },
                 },
             );
-            bounds.on_assign(dfg, node, best.0);
-            grid.occupy(node, best.0, best.1, cycles);
+            bounds.on_assign(dfg, node, best.step);
+            grid.occupy(node, best.step, best.fu, cycles);
             if clock.is_some() {
                 rebuild_offsets(dfg, spec, clock, &bounds, schedule, &mut offsets);
             }
-            if best != (prev.step, index) {
+            if (best.step, best.fu) != (prev.step, index) {
                 moves += 1;
                 moved = true;
             }
@@ -261,97 +246,4 @@ pub(crate) fn sweep_fu(
         }
     }
     Ok(moves)
-}
-
-/// Same-unit slide splice for ALU-bound schedules. Mutates `schedule`
-/// in place and returns the number of committed moves.
-pub(crate) fn sweep_alu(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    clock: Option<ClockPeriod>,
-    schedule: &mut Schedule,
-    region: &[NodeId],
-    direction: Direction,
-    max_sweeps: usize,
-) -> u64 {
-    let horizon = achieved_horizon(dfg, spec, clock, schedule);
-    let mut bounds = BoundsCache::new(dfg, spec, clock);
-    for (node, slot) in schedule.iter().collect::<Vec<_>>() {
-        bounds.on_assign(dfg, node, slot.step);
-    }
-    // Per-unit per-step occupant counts (counts, not flags: mutually
-    // exclusive operations legitimately share a cell).
-    let mut busy: BTreeMap<UnitId, Vec<u16>> = BTreeMap::new();
-    for (node, slot) in schedule.iter() {
-        let cells = busy.entry(slot.unit).or_default();
-        for k in 0..bounds.cycles(node) as u32 {
-            let s = (slot.step.get() + k) as usize;
-            if cells.len() <= s {
-                cells.resize(s + 1, 0);
-            }
-            cells[s] += 1;
-        }
-    }
-
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    let mut moves = 0u64;
-    for _ in 0..max_sweeps {
-        let mut moved = false;
-        for &node in region {
-            let cur = schedule.slot(node).expect("baseline schedule is complete");
-            let cycles = bounds.cycles(node) as u32;
-            let cells = busy.get_mut(&cur.unit).expect("unit has occupants");
-            for k in 0..cycles {
-                cells[(cur.step.get() + k) as usize] -= 1;
-            }
-            schedule.unassign(node);
-            bounds.on_unassign(dfg, schedule, &mut offsets, node);
-            // Strict step separation from every scheduled neighbour:
-            // start above the predecessors' finishes and finish below
-            // the successors' starts, so the move can neither reorder
-            // dependencies nor create a new combinational chain.
-            let lower = bounds.pred_finish(node) + 1;
-            let upper_start = bounds
-                .succ_start(node)
-                .saturating_sub(cycles)
-                .min(horizon.saturating_sub(cycles.saturating_sub(1)));
-            let free = |s: u32| {
-                (0..cycles).all(|k| cells.get((s + k) as usize).copied().unwrap_or(0) == 0)
-            };
-            let target = match direction {
-                Direction::Earlier => (lower..cur.step.get())
-                    .find(|&s| free(s))
-                    .map(CStep::new)
-                    .unwrap_or(cur.step),
-                Direction::Later => (cur.step.get() + 1..=upper_start.max(cur.step.get()))
-                    .rev()
-                    .find(|&s| free(s))
-                    .map(CStep::new)
-                    .unwrap_or(cur.step),
-            };
-            for k in 0..cycles {
-                let s = (target.get() + k) as usize;
-                if cells.len() <= s {
-                    cells.resize(s + 1, 0);
-                }
-                cells[s] += 1;
-            }
-            schedule.assign(
-                node,
-                Slot {
-                    step: target,
-                    unit: cur.unit,
-                },
-            );
-            bounds.on_assign(dfg, node, target);
-            if target != cur.step {
-                moves += 1;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    moves
 }

@@ -18,32 +18,27 @@
 //! seams: a boundary node was scheduled knowing only its own shard.
 //! The stitcher sweeps the boundary nodes in topological order and, for
 //! each, vacates it from the dense state (schedule, [`BoundsCache`],
-//! occupancy grids) and re-frames it with [`probe_move_frame`] — the
-//! same vacate→re-frame machinery `crates/core/tests/reframe.rs` pins —
-//! taking the earliest feasible position if that improves on its
-//! current slot. For MFSA-merged schedules (ALU-bound units, outside
-//! the class-grid world of the move frame) the stitcher instead slides
-//! boundary nodes to the earliest free step on their own unit, using
-//! the same [`BoundsCache`] feasibility bounds. Sweeps repeat until a
-//! fixpoint or the sweep cap.
+//! occupancy grids) and re-places it with a step-major [`first_fit`]
+//! bounded by its current slot — the first free cell of its move frame,
+//! taken only if it is strictly earlier than where the node sits. The
+//! vacate side is the machinery `crates/core/tests/reframe.rs` pins.
+//! For MFSA-merged schedules (ALU-bound units, outside the class-grid
+//! world of the move frame) the stitcher instead slides boundary nodes
+//! to the earliest free step on their own unit with
+//! [`slide_on_units`]. Sweeps repeat until a fixpoint or the sweep cap.
 
 use std::collections::BTreeMap;
 
 use hls_celllib::{Delay, TimingSpec};
 use hls_dfg::{Dfg, FuClass, NodeId};
 use hls_schedule::{CStep, FuIndex, Grid, Schedule, Slot, TimeFrames, UnitId};
-use moveframe::{probe_move_frame, BoundsCache};
+use moveframe::reframe::{slide_on_units, Direction, COLUMN_CAP};
+use moveframe::{first_fit, BoundsCache, FitOrder, FrameCtx, Position};
 
 use crate::cut::Partition;
 use crate::extract::ShardGraph;
 use crate::shard::ShardSchedule;
 use crate::PartitionError;
-
-/// Columns the re-frame probe exposes per class. Boundary compression
-/// only needs *a* free column at an earlier step, not the full
-/// (potentially tens of thousands wide) column space, and the probe
-/// cost is linear in the visible columns.
-const STITCH_COLUMN_CAP: u32 = 64;
 
 /// The merged global schedule plus merge/stitch statistics.
 #[derive(Debug)]
@@ -227,7 +222,15 @@ pub fn merge_and_stitch(
         .iter()
         .any(|(_, s)| matches!(s.unit, UnitId::Alu { .. }));
     let (stitch_moves, stitch_sweeps) = if uses_alu {
-        stitch_alu(dfg, spec, partition, &mut schedule, max_stitch_sweeps)
+        slide_on_units(
+            dfg,
+            spec,
+            None,
+            &mut schedule,
+            &boundary_in_topo_order(dfg, partition),
+            Direction::Earlier,
+            max_stitch_sweeps,
+        )
     } else {
         stitch_reframe(
             dfg,
@@ -271,8 +274,8 @@ fn boundary_in_topo_order(dfg: &Dfg, partition: &Partition) -> Vec<NodeId> {
 }
 
 /// Move-frame stitching for class-grid (MFS-merged) schedules: vacate
-/// each boundary node and re-place it at the earliest position of its
-/// re-computed move frame.
+/// each boundary node and re-place it at the earliest free cell of its
+/// move frame that beats its current slot.
 fn stitch_reframe(
     dfg: &Dfg,
     spec: &TimingSpec,
@@ -320,41 +323,44 @@ fn stitch_reframe(
             schedule.unassign(node);
             bounds.on_unassign(dfg, schedule, &mut offsets, node);
             grid.vacate(node);
-            // …re-frame…
-            let snapshot = probe_move_frame(
+            // …and take the earliest (step, column) strictly before the
+            // old slot, keeping the old slot when nothing better is
+            // visible.
+            let old = Position {
+                step: cur.step,
+                fu: index,
+            };
+            let ctx = FrameCtx {
                 dfg,
                 spec,
-                &frames,
+                frames: &frames,
                 schedule,
-                None,
-                &offsets,
-                &bounds,
+                clock: None,
+                offsets: &offsets,
+                bounds: &bounds,
+            };
+            let best = first_fit(
+                &ctx,
                 node,
                 grid,
-                grid.max_fu().min(STITCH_COLUMN_CAP),
-            );
-            // …and take the earliest (step, column), keeping the old
-            // slot when nothing better is visible.
-            let old = (cur.step, index);
-            let best = snapshot
-                .movable
-                .iter()
-                .map(|p| (p.step, p.fu))
-                .min()
-                .filter(|&p| p < old)
-                .unwrap_or(old);
+                grid.max_fu().min(COLUMN_CAP),
+                FitOrder::StepMajor,
+                Some(old),
+            )
+            .cell
+            .unwrap_or(old);
             schedule.assign(
                 node,
                 Slot {
-                    step: best.0,
+                    step: best.step,
                     unit: UnitId::Fu {
                         class,
-                        index: best.1,
+                        index: best.fu,
                     },
                 },
             );
-            bounds.on_assign(dfg, node, best.0);
-            grid.occupy(node, best.0, best.1, bounds.cycles(node));
+            bounds.on_assign(dfg, node, best.step);
+            grid.occupy(node, best.step, best.fu, bounds.cycles(node));
             if best != old {
                 moves += 1;
                 moved = true;
@@ -365,86 +371,4 @@ fn stitch_reframe(
         }
     }
     Ok((moves, sweeps))
-}
-
-/// Stitching for ALU-bound (MFSA-merged) schedules: slide each boundary
-/// node to the earliest dependency-feasible free step on its own unit.
-/// Same-unit moves preserve both the allocation and (for memory
-/// accesses) the port binding.
-fn stitch_alu(
-    dfg: &Dfg,
-    spec: &TimingSpec,
-    partition: &Partition,
-    schedule: &mut Schedule,
-    max_sweeps: usize,
-) -> (u64, u64) {
-    let mut bounds = BoundsCache::new(dfg, spec, None);
-    for (node, slot) in schedule.iter().collect::<Vec<_>>() {
-        bounds.on_assign(dfg, node, slot.step);
-    }
-    // Per-unit per-step occupant counts (counts, not flags: mutually
-    // exclusive operations legitimately share a cell).
-    let mut busy: BTreeMap<UnitId, Vec<u16>> = BTreeMap::new();
-    for (node, slot) in schedule.iter() {
-        let cells = busy.entry(slot.unit).or_default();
-        for k in 0..bounds.cycles(node) as u32 {
-            let s = (slot.step.get() + k) as usize;
-            if cells.len() <= s {
-                cells.resize(s + 1, 0);
-            }
-            cells[s] += 1;
-        }
-    }
-
-    let order = boundary_in_topo_order(dfg, partition);
-    let mut offsets = vec![Delay::ZERO; dfg.node_count()];
-    let mut moves = 0u64;
-    let mut sweeps = 0u64;
-    for _ in 0..max_sweeps {
-        sweeps += 1;
-        let mut moved = false;
-        for &node in &order {
-            let cur = schedule.slot(node).expect("merged schedule is complete");
-            let cycles = bounds.cycles(node) as u32;
-            let cells = busy.get_mut(&cur.unit).expect("unit has occupants");
-            for k in 0..cycles {
-                cells[(cur.step.get() + k) as usize] -= 1;
-            }
-            schedule.unassign(node);
-            bounds.on_unassign(dfg, schedule, &mut offsets, node);
-            // Earliest step after every scheduled predecessor's finish
-            // whose unit cells are free across the span. Moving only
-            // earlier keeps scheduled successors feasible.
-            let lower = bounds.pred_finish(node) + 1;
-            let target = (lower..cur.step.get())
-                .find(|&s| {
-                    (0..cycles).all(|k| cells.get((s + k) as usize).copied().unwrap_or(0) == 0)
-                })
-                .map(CStep::new)
-                .unwrap_or(cur.step);
-            for k in 0..cycles {
-                let s = (target.get() + k) as usize;
-                if cells.len() <= s {
-                    cells.resize(s + 1, 0);
-                }
-                cells[s] += 1;
-            }
-            schedule.assign(
-                node,
-                Slot {
-                    step: target,
-                    unit: cur.unit,
-                },
-            );
-            bounds.on_assign(dfg, node, target);
-            if target != cur.step {
-                moves += 1;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    (moves, sweeps)
 }

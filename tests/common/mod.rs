@@ -6,6 +6,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use moveframe_hls::prelude::*;
 
@@ -21,6 +22,16 @@ pub fn ephemeral_config() -> ServeConfig {
 /// Starts a daemon with no access log.
 pub fn start(config: ServeConfig) -> Server {
     Server::start(config, Box::new(NullSink)).expect("server starts")
+}
+
+/// Polls the daemon's metrics until counter `name` reaches `at_least`,
+/// failing the test after a generous deadline.
+pub fn await_counter(server: &Server, name: &str, at_least: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.app().metrics_snapshot().counter(name) < at_least {
+        assert!(Instant::now() < deadline, "{name} never reached {at_least}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Sends one HTTP/1.1 request and returns `(status, body)`.

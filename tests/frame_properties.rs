@@ -268,3 +268,101 @@ proptest! {
         }
     }
 }
+
+/// Runs MFS with metrics and returns the outcome (or the error text)
+/// with the metrics as JSON, timing histograms removed.
+fn run_counted(
+    dfg: &Dfg,
+    spec: &TimingSpec,
+    config: &MfsConfig,
+) -> (
+    Result<moveframe_hls::moveframe::mfs::MfsOutcome, String>,
+    String,
+) {
+    let mut sink = NullSink;
+    let mut metrics = Metrics::new();
+    let outcome = mfs::schedule_traced(
+        dfg,
+        spec,
+        config,
+        &mut Instrument::new(&mut sink, &mut metrics),
+    )
+    .map_err(|e| e.to_string());
+    metrics.retain(|name| !name.ends_with(".ns"));
+    (outcome, metrics.to_json())
+}
+
+/// Frame recording only adds the snapshots: the placement search is
+/// the same first-fit walk either way, so schedules, grids and every
+/// counter agree (and in debug builds each recorded frame's
+/// minimum-energy cell is checked against the first-fit cell).
+fn assert_recording_changes_nothing(dfg: &Dfg, spec: &TimingSpec, config: MfsConfig) {
+    let (plain, plain_metrics) = run_counted(dfg, spec, &config);
+    let (recorded, metrics) = run_counted(dfg, spec, &config.with_frame_recording());
+    assert_eq!(plain_metrics, metrics);
+    match (plain, recorded) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.schedule, b.schedule);
+            assert_eq!(a.grids, b.grids);
+            assert_eq!(a.reschedule_count, b.reschedule_count);
+            assert!(a.snapshots.is_empty());
+            assert_eq!(b.snapshots.len(), dfg.node_count());
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b),
+        (a, b) => panic!(
+            "recording changed feasibility: {:?} vs {:?}",
+            a.err(),
+            b.err()
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn frame_recording_changes_no_schedule_or_counter(
+        config in config_strategy(),
+        slack in 0u32..4,
+        spec_idx in 0usize..3,
+        margin in 0u32..3,
+    ) {
+        let dfg = generate(&config);
+        let (spec, clock) = match spec_idx {
+            0 => (TimingSpec::uniform_single_cycle(), None),
+            1 => (TimingSpec::two_cycle_multiply(), None),
+            _ => (TimingSpec::with_delays(), Some(ClockPeriod::new(100))),
+        };
+        let cp = CriticalPath::compute(&dfg, &spec).steps() as u32;
+        let mut time = MfsConfig::time_constrained(cp + slack);
+        if let Some(t) = clock {
+            time = time.with_chaining(t);
+        }
+        assert_recording_changes_nothing(&dfg, &spec, time.clone());
+
+        // Resource-constrained: the time run's unit counts plus a
+        // margin (which may or may not be feasible — both runs must
+        // agree either way).
+        if let Ok(out) = mfs::schedule(&dfg, &spec, &time) {
+            let mut resource = MfsConfig::resource_constrained(cp + slack);
+            for (class, units) in out.fu_counts() {
+                resource = resource.with_fu_limit(class, (units + margin).saturating_sub(1).max(1));
+            }
+            assert_recording_changes_nothing(&dfg, &spec, resource);
+        }
+    }
+
+    #[test]
+    fn frame_recording_changes_nothing_under_memory_banks(
+        taps in 2usize..6,
+        ports in 1u32..4,
+        slack in 0u32..3,
+    ) {
+        let dfg = memory::array_fir(taps, ports);
+        let spec = TimingSpec::uniform_single_cycle();
+        let cp = CriticalPath::compute(&dfg, &spec).steps() as u32;
+        for t in cp..cp + 8 {
+            assert_recording_changes_nothing(&dfg, &spec, MfsConfig::time_constrained(t + slack));
+        }
+    }
+}

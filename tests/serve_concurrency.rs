@@ -6,7 +6,6 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use moveframe_hls::prelude::*;
 
@@ -149,9 +148,9 @@ fn healthz_stays_responsive_while_jobs_compute() {
             br#"{"benchmark":"dct8","alg":"mfsa","cs":12}"#,
         )
     });
-    // Probe while the job runs; with a second worker this never queues
+    // Probe once the job runs; with a second worker this never queues
     // behind the compute.
-    std::thread::sleep(Duration::from_millis(20));
+    common::await_counter(&server, "serve.worker.started", 1);
     let (status, _) = common::get(addr, "/healthz");
     assert_eq!(status, 200);
     let (status, body) = worker.join().expect("job thread");

@@ -5,21 +5,10 @@ mod common;
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
 use moveframe_hls::prelude::*;
 
 const DIFFEQ_JOB: &[u8] = br#"{"benchmark":"diffeq","cs":4}"#;
-
-/// Polls the daemon's metrics until counter `name` reaches `at_least`,
-/// failing the test after a generous deadline.
-fn await_counter(server: &Server, name: &str, at_least: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while server.app().metrics_snapshot().counter(name) < at_least {
-        assert!(Instant::now() < deadline, "{name} never reached {at_least}");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
 
 #[test]
 fn endpoints_answer_over_a_real_socket() {
@@ -80,9 +69,9 @@ fn overload_answers_429_and_the_pool_recovers() {
     // connections, so only compute occupies a worker.)
     let pin_body = common::pin_job(1500);
     let pin = std::thread::spawn(move || common::post(addr, "/schedule", &pin_body));
-    await_counter(&server, "serve.worker.started", 1);
+    common::await_counter(&server, "serve.worker.started", 1);
     let queued = std::thread::spawn(move || common::post(addr, "/schedule", DIFFEQ_JOB));
-    await_counter(&server, "serve.queue.admitted", 2);
+    common::await_counter(&server, "serve.queue.admitted", 2);
 
     // The queue is full: the reactor must answer 429 inline, without
     // involving (or waiting for) a worker.
@@ -196,12 +185,12 @@ fn shutdown_drains_admitted_requests() {
     // admitted into the queue behind it.
     let pin_body = common::pin_job(1500);
     let pin = std::thread::spawn(move || common::post(addr, "/schedule", &pin_body));
-    await_counter(&server, "serve.worker.started", 1);
+    common::await_counter(&server, "serve.worker.started", 1);
     let mut queued = TcpStream::connect(addr).expect("connect");
     queued
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
         .expect("write");
-    await_counter(&server, "serve.queue.admitted", 2);
+    common::await_counter(&server, "serve.queue.admitted", 2);
 
     // Shutdown stops admission but must answer what was admitted —
     // the in-flight batch and the queued probe both.

@@ -182,9 +182,9 @@ fn connection_survives_a_429() {
     // Saturate: one job computing, one in the single queue slot.
     let pin_body = common::pin_job(1500);
     let pin = std::thread::spawn(move || common::post(addr, "/schedule", &pin_body));
-    std::thread::sleep(Duration::from_millis(150));
+    common::await_counter(&server, "serve.worker.started", 1);
     let queued = std::thread::spawn(move || common::post(addr, "/schedule", DIFFEQ_JOB));
-    std::thread::sleep(Duration::from_millis(150));
+    common::await_counter(&server, "serve.queue.admitted", 2);
 
     let mut stream = connect(addr);
     send(&mut stream, "GET", "/healthz", b"");
@@ -360,7 +360,7 @@ fn shutdown_answers_pipelined_requests_in_flight() {
     burst.extend_from_slice(&pin_body);
     burst.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
     stream.write_all(&burst).expect("write burst");
-    std::thread::sleep(Duration::from_millis(150));
+    common::await_counter(&server, "serve.worker.started", 1);
 
     server.shutdown();
 
