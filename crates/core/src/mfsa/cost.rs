@@ -3,22 +3,46 @@
 use std::collections::BTreeMap;
 
 use hls_celllib::{Area, Library};
-use hls_dfg::SignalId;
-use hls_rtl::muxopt::{pack_cost, MuxOp};
+use hls_dfg::{Dfg, NodeId, NodeKind, SignalId, SignalSource};
+use hls_rtl::muxopt::{MuxOp, PackScratch};
+use hls_schedule::{Schedule, UnitId};
 
 use crate::mfsa::Weights;
 
-/// A multiplexer input *line* at estimation time. Interconnect sharing
-/// (paper §5.7) folds every value produced by the same ALU onto one
-/// line; with sharing disabled each signal is its own line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum EstSource {
-    /// A primary input or constant port.
-    External(SignalId),
-    /// The result path of ALU instance `n` (interconnect sharing on).
-    FromAlu(u32),
-    /// An individual stored signal (interconnect sharing off).
-    Signal(SignalId),
+/// `node`'s operand sources as multiplexer input *lines* at estimation
+/// time, encoded as dense ids for the packing core (DESIGN §14). A
+/// primary input, constant or stored signal is its own line, with id =
+/// its signal index (a signal has exactly one source, so these never
+/// collide). Interconnect sharing (paper §5.7) folds every value an ALU
+/// instance `n` has produced onto one result-path line, id
+/// `signal_count + n`. The packing only compares lines for equality, so
+/// this one-to-one labelling prices exactly what any other would.
+pub(crate) fn mux_op(
+    dfg: &Dfg,
+    sched: &Schedule,
+    shares_interconnect: bool,
+    node: NodeId,
+) -> MuxOp<u32> {
+    let line = |sig: SignalId| -> u32 {
+        match dfg.signal(sig).source() {
+            SignalSource::Node(p) if shares_interconnect => match sched.slot(p).map(|s| s.unit) {
+                Some(UnitId::Alu { instance }) => dfg.signal_count() as u32 + instance,
+                _ => sig.index() as u32,
+            },
+            _ => sig.index() as u32,
+        }
+    };
+    let commutative = match dfg.node(node).kind() {
+        NodeKind::Op(k) => k.is_commutative(),
+        NodeKind::Stage { base, index, .. } => index == 0 && base.is_commutative(),
+        _ => unreachable!("loops and mem accesses never reach the ALU pricing"),
+    };
+    let inputs = dfg.node(node).inputs();
+    MuxOp {
+        left: line(inputs[0]),
+        right: inputs.get(1).map(|&s| line(s)),
+        commutative,
+    }
 }
 
 /// Evaluates the four `f` terms for candidate positions.
@@ -60,31 +84,39 @@ impl CostModel {
     }
 
     /// `w_MUX · (Cost(MUX¹_after) + Cost(MUX²_after) − before)` under the
-    /// best-case packing of the instance's operand sources.
-    pub(crate) fn f_mux(&self, before: &[MuxOp<EstSource>], candidate: MuxOp<EstSource>) -> u64 {
-        self.f_mux_from(self.mux_pair_cost(before), before, candidate)
+    /// best-case packing of the instance's operand lines.
+    pub(crate) fn f_mux(
+        &self,
+        scratch: &mut PackScratch,
+        before: &[MuxOp<u32>],
+        candidate: MuxOp<u32>,
+    ) -> u64 {
+        let before_cost = self.mux_pair_cost(scratch, before);
+        self.f_mux_from(scratch, before_cost, before, candidate)
     }
 
     /// [`Self::f_mux`] with the before-cost supplied by the caller. The
     /// before term depends only on the instance's committed operations —
     /// frozen between moves — so the scheduler caches it per instance
-    /// and pays one packing per candidate instead of two.
+    /// and pays one packing per candidate instead of two. The candidate
+    /// is priced through `scratch` without building the extended list.
     pub(crate) fn f_mux_from(
         &self,
+        scratch: &mut PackScratch,
         before_cost: u64,
-        before: &[MuxOp<EstSource>],
-        candidate: MuxOp<EstSource>,
+        before: &[MuxOp<u32>],
+        candidate: MuxOp<u32>,
     ) -> u64 {
-        let mut after = Vec::with_capacity(before.len() + 1);
-        after.extend_from_slice(before);
-        after.push(candidate);
-        let after_cost = self.mux_pair_cost(&after);
+        let after_cost = self.lines_cost(scratch.cost(before, Some(&candidate)));
         self.weights.mux as u64 * after_cost.saturating_sub(before_cost)
     }
 
     /// Total cost of the two input multiplexers after optimal packing.
-    pub(crate) fn mux_pair_cost(&self, ops: &[MuxOp<EstSource>]) -> u64 {
-        let (l1, l2) = pack_cost(ops);
+    pub(crate) fn mux_pair_cost(&self, scratch: &mut PackScratch, ops: &[MuxOp<u32>]) -> u64 {
+        self.lines_cost(scratch.cost(ops, None))
+    }
+
+    fn lines_cost(&self, (l1, l2): (usize, usize)) -> u64 {
         self.mux_cost(l1) + self.mux_cost(l2)
     }
 
@@ -253,49 +285,49 @@ mod tests {
     fn f_mux_charges_only_new_lines() {
         let lib = Library::ncr_like();
         let model = CostModel::new(&lib, Weights::default());
-        let a = EstSource::External(sig(1));
-        let b = EstSource::External(sig(2));
-        let existing = vec![MuxOp {
-            left: a,
-            right: Some(b),
-            commutative: false,
-        }];
+        let mut scratch = PackScratch::new();
+        let op = |left, right, commutative| MuxOp {
+            left,
+            right: Some(right),
+            commutative,
+        };
+        let existing = vec![op(1, 2, false)];
         // The same operand pair again: no growth, no cost.
-        assert_eq!(
-            model.f_mux(
-                &existing,
-                MuxOp {
-                    left: a,
-                    right: Some(b),
-                    commutative: false
-                }
-            ),
-            0
-        );
+        assert_eq!(model.f_mux(&mut scratch, &existing, op(1, 2, false)), 0);
         // A commutative op with swapped operands: packing reuses lines.
-        assert_eq!(
-            model.f_mux(
-                &existing,
-                MuxOp {
-                    left: b,
-                    right: Some(a),
-                    commutative: true
-                }
-            ),
-            0
-        );
+        assert_eq!(model.f_mux(&mut scratch, &existing, op(2, 1, true)), 0);
         // A brand-new pair must pay for widening both muxes to 2 inputs.
-        let c = EstSource::External(sig(3));
-        let d = EstSource::External(sig(4));
-        let grow = model.f_mux(
-            &existing,
-            MuxOp {
-                left: c,
-                right: Some(d),
-                commutative: false,
+        let grow = model.f_mux(&mut scratch, &existing, op(3, 4, false));
+        assert_eq!(grow, 2 * lib.mux().cost(2).as_u64());
+    }
+
+    #[test]
+    fn mux_lines_are_signals_or_alu_result_paths() {
+        let mut b = hls_dfg::DfgBuilder::new("g");
+        let x = b.input("x");
+        let y = b.input("y");
+        let a = b.op("a", OpKind::Add, &[x, y]).unwrap();
+        b.op("s", OpKind::Sub, &[a, x]).unwrap();
+        let g = b.finish().unwrap();
+        let (na, ns) = (g.node_by_name("a").unwrap(), g.node_by_name("s").unwrap());
+        let mut sched = Schedule::new(&g, 2);
+        sched.assign(
+            na,
+            hls_schedule::Slot {
+                step: hls_schedule::CStep::new(1),
+                unit: UnitId::Alu { instance: 3 },
             },
         );
-        assert_eq!(grow, 2 * lib.mux().cost(2).as_u64());
+        let by_signal = mux_op(&g, &sched, false, ns);
+        assert_eq!(
+            (by_signal.left, by_signal.right),
+            (a.index() as u32, Some(x.index() as u32))
+        );
+        assert!(!by_signal.commutative);
+        // With sharing, `a` arrives on ALU 3's result path.
+        let shared = mux_op(&g, &sched, true, ns);
+        assert_eq!(shared.left, g.signal_count() as u32 + 3);
+        assert_eq!(mux_op(&g, &sched, true, na).right, Some(y.index() as u32));
     }
 
     #[test]

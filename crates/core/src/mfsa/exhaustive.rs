@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 
 use hls_celllib::Delay;
 use hls_celllib::TimingSpec;
-use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
-use hls_rtl::muxopt::MuxOp;
+use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind};
+use hls_rtl::muxopt::PackScratch;
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{
     chained_frames, priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId,
@@ -24,7 +24,7 @@ use hls_schedule::{
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
 use crate::frame::{feasible_step_range, BoundsCache, FrameCtx};
-use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
+use crate::mfsa::cost::{mux_op, CostModel, RegEstimate};
 use crate::mfsa::scheduler::{
     base_op, instance_free, reg_extensions, Candidate, Instance, IterationTrace, MfsaOutcome,
 };
@@ -114,6 +114,7 @@ impl ExhaustiveMfsa {
         let mut offsets: Vec<Delay> = vec![Delay::ZERO; dfg.node_count()];
         let mut bounds = BoundsCache::new(dfg, spec, config.clock());
         let mut instances: Vec<Instance> = Vec::new();
+        let mut scratch = PackScratch::new();
         let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
         let mut reg_est = RegEstimate::new();
         let mut trace = Vec::new();
@@ -147,8 +148,7 @@ impl ExhaustiveMfsa {
                             if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
                                 feasible_steps += 1;
                                 let f_time = model.f_time(step.get());
-                                let extensions =
-                                    reg_extensions(dfg, &sched, spec, node, step, config);
+                                let extensions = reg_extensions(dfg, &sched, spec, node, step);
                                 let f_reg = model.f_reg(
                                     reg_est
                                         .count_with(&extensions)
@@ -223,7 +223,7 @@ impl ExhaustiveMfsa {
                     );
                     offsets[node.index()] = offset;
                     bounds.on_assign(dfg, node, step);
-                    let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                    let extensions = reg_extensions(dfg, &sched, spec, node, step);
                     reg_est.commit(&extensions);
                     instr.inc("mfsa.moves_committed", 1);
                     instr.inc("mfsa.mem_moves", 1);
@@ -252,11 +252,6 @@ impl ExhaustiveMfsa {
                 }
 
                 let op = base_op(dfg, node);
-                let commutative = match dfg.node(node).kind() {
-                    NodeKind::Op(k) => k.is_commutative(),
-                    NodeKind::Stage { base, index, .. } => index == 0 && base.is_commutative(),
-                    _ => unreachable!("loops rejected above, mem accesses handled above"),
-                };
 
                 let mut best: Option<Candidate> = None;
                 let mut n_candidates = 0u64;
@@ -275,34 +270,10 @@ impl ExhaustiveMfsa {
                     };
                     let (earliest, latest) = feasible_step_range(&ctx, node);
                     let cycles = ctx.effective_cycles(node);
-                    let est = |sig: SignalId| -> EstSource {
-                        match dfg.signal(sig).source() {
-                            SignalSource::PrimaryInput | SignalSource::Constant(_) => {
-                                EstSource::External(sig)
-                            }
-                            SignalSource::Node(p) => {
-                                if config.shares_interconnect() {
-                                    match sched.slot(p).map(|s| s.unit) {
-                                        Some(UnitId::Alu { instance }) => {
-                                            EstSource::FromAlu(instance)
-                                        }
-                                        _ => EstSource::Signal(sig),
-                                    }
-                                } else {
-                                    EstSource::Signal(sig)
-                                }
-                            }
-                        }
-                    };
-                    let inputs = dfg.node(node).inputs();
-                    let mux_op = MuxOp {
-                        left: est(inputs[0]),
-                        right: inputs.get(1).map(|&s| est(s)),
-                        commutative,
-                    };
+                    let mux_op = mux_op(dfg, &sched, config.shares_interconnect(), node);
 
                     let mut inst_costs: Vec<Option<InstCost>> = vec![None; instances.len()];
-                    let fresh_mux = model.f_mux(&[], mux_op);
+                    let fresh_mux = model.f_mux(&mut scratch, &[], mux_op);
                     let new_kinds: Vec<(usize, u64)> = library
                         .alus()
                         .iter()
@@ -351,7 +322,7 @@ impl ExhaustiveMfsa {
                         if ctx.dep_feasible(node, step) && step.finish(cycles).get() <= cs {
                             feasible_steps += 1;
                             let f_time = model.f_time(step.get());
-                            let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                            let extensions = reg_extensions(dfg, &sched, spec, node, step);
                             let f_reg = model.f_reg(
                                 reg_est
                                     .count_with(&extensions)
@@ -364,7 +335,7 @@ impl ExhaustiveMfsa {
                                 }
                                 let cost = inst_costs[i].get_or_insert_with(|| {
                                     if config.style() == DesignStyle::NoSelfLoop {
-                                        let related = inst.ops.iter().any(|&o| {
+                                        let related = inst.ops.iter().any(|&(o, ..)| {
                                             dfg.preds(node).contains(&o)
                                                 || dfg.succs(node).contains(&o)
                                         });
@@ -377,7 +348,7 @@ impl ExhaustiveMfsa {
                                         Some((
                                             inst.kind_index,
                                             0,
-                                            model.f_mux(&inst.mux_ops, mux_op),
+                                            model.f_mux(&mut scratch, &inst.mux_ops, mux_op),
                                             0,
                                         ))
                                     } else {
@@ -396,7 +367,11 @@ impl ExhaustiveMfsa {
                                                     model.f_alu(
                                                         kind.area().saturating_sub(cur_kind.area()),
                                                     ),
-                                                    model.f_mux(&inst.mux_ops, mux_op),
+                                                    model.f_mux(
+                                                        &mut scratch,
+                                                        &inst.mux_ops,
+                                                        mux_op,
+                                                    ),
                                                     1,
                                                 )
                                             })
@@ -460,26 +435,12 @@ impl ExhaustiveMfsa {
                     None => {
                         instances.push(Instance {
                             kind_index: chosen.kind_index,
-                            ops: Vec::new(),
-                            mux_ops: Vec::new(),
-                            busy: BTreeMap::new(),
-                            busy_bits: Vec::new(),
+                            ..Instance::default()
                         });
                         instances.len() - 1
                     }
                 };
-                let inst = &mut instances[instance_idx];
-                inst.ops.push(node);
-                inst.mux_ops.push(mux_op);
-                for k in 0..cycles as u32 {
-                    let s = wrap(chosen.step.get() + k);
-                    inst.busy.entry(s).or_default().push(node);
-                    let word = s as usize / 64;
-                    if inst.busy_bits.len() <= word {
-                        inst.busy_bits.resize(word + 1, 0);
-                    }
-                    inst.busy_bits[word] |= 1 << (s % 64);
-                }
+                instances[instance_idx].host(node, chosen.step, cycles, mux_op, &wrap);
                 sched.assign(
                     node,
                     Slot {
@@ -491,7 +452,7 @@ impl ExhaustiveMfsa {
                 );
                 offsets[node.index()] = offset;
                 bounds.on_assign(dfg, node, chosen.step);
-                let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step, config);
+                let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step);
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc(

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use hls_celllib::{Delay, TimingSpec};
 use hls_dfg::{BankId, Dfg, FuClass, NodeId, NodeKind, SignalId, SignalSource};
-use hls_rtl::muxopt::{pack_seed, MuxOp, PackSeed};
+use hls_rtl::muxopt::{pack_seed, MuxOp, PackScratch, PackSeed};
 use hls_rtl::{AluAllocation, CostReport, Datapath};
 use hls_schedule::{
     chained_frames, priority_order, CStep, FuIndex, Schedule, Slot, TimeFrames, UnitId,
@@ -27,7 +27,7 @@ use hls_schedule::{
 use hls_telemetry::{Instrument, Metrics, NullSink, TraceEvent};
 
 use crate::frame::{feasible_step_range, BoundsCache, FrameCtx};
-use crate::mfsa::cost::{CostModel, EstSource, RegEstimate};
+use crate::mfsa::cost::{mux_op, CostModel, RegEstimate};
 use crate::mfsa::{DesignStyle, MfsaConfig};
 use crate::MoveFrameError;
 
@@ -79,16 +79,43 @@ pub struct MfsaOutcome {
 }
 
 /// Internal state of one allocated ALU instance.
+#[derive(Default)]
 pub(crate) struct Instance {
     pub(crate) kind_index: usize,
-    pub(crate) ops: Vec<NodeId>,
-    pub(crate) mux_ops: Vec<MuxOp<EstSource>>,
-    /// Wrapped step → occupants.
-    pub(crate) busy: BTreeMap<u32, Vec<NodeId>>,
+    /// Hosted operations as `(node, start step, cycles held)` — the one
+    /// occupancy record; [`instance_free`] walks it under `wrap` only
+    /// when a busy bit is set *and* the probing node has mutual
+    /// exclusions to check.
+    pub(crate) ops: Vec<(NodeId, u32, u8)>,
+    /// Operand lines of the hosted operations, in commit order.
+    pub(crate) mux_ops: Vec<MuxOp<u32>>,
     /// One bit per wrapped step with any occupant — the fast reject for
-    /// [`instance_free`]; the map above is only walked when a bit is set
-    /// *and* the probing node has mutual exclusions to check.
+    /// [`instance_free`].
     pub(crate) busy_bits: Vec<u64>,
+}
+
+impl Instance {
+    /// Hosts `node` from `step` for `cycles` steps with operand lines
+    /// `mux_op`.
+    pub(crate) fn host(
+        &mut self,
+        node: NodeId,
+        step: CStep,
+        cycles: u8,
+        mux_op: MuxOp<u32>,
+        wrap: &impl Fn(u32) -> u32,
+    ) {
+        self.ops.push((node, step.get(), cycles));
+        self.mux_ops.push(mux_op);
+        for k in 0..cycles as u32 {
+            let s = wrap(step.get() + k);
+            let word = s as usize / 64;
+            if self.busy_bits.len() <= word {
+                self.busy_bits.resize(word + 1, 0);
+            }
+            self.busy_bits[word] |= 1 << (s % 64);
+        }
+    }
 }
 
 /// One scored candidate position.
@@ -147,12 +174,13 @@ fn consider(best: &mut Option<Candidate>, c: Candidate) {
     }
 }
 
-/// Step-invariant ALU-level terms of a reuse/upgrade candidate for one
-/// instance: `(kind after the move, f_ALU, flavour)`, or `None` when
-/// the instance can never host the op (style conflict, or no superset
-/// kind exists). This is the cheap half of the old combined memo — the
-/// mux-repacking delta is memoized separately and computed only for
-/// candidates whose ALU-level bound survives the incumbent cut.
+/// Step-invariant ALU-level terms of a reuse/upgrade candidate on an
+/// instance of one ALU kind: `(kind after the move, f_ALU, flavour)`,
+/// or `None` when no superset kind exists. They depend only on the
+/// instance's current kind and the op, so the scheduler memoizes them
+/// per kind, not per instance; the mux-repacking delta is memoized per
+/// instance and computed only for candidates whose ALU-level bound
+/// survives the incumbent cut.
 type AluCost = Option<(usize, u64, u8)>;
 
 /// Counters of one node's branch-and-bound search, flushed into the
@@ -344,7 +372,13 @@ pub fn schedule_traced_with_frames(
     // already carried by the instance is priced f_MUX = 0 without any
     // repack, and a committed move covered by the rule extends the
     // seed in place instead of invalidating it.
-    let mut mux_seed: Vec<Option<PackSeed<EstSource>>> = Vec::new();
+    let mut mux_seed: Vec<Option<PackSeed<u32>>> = Vec::new();
+    // The one packing scratch every f_MUX price of this run goes
+    // through, and the per-node memo buffers, reused across nodes.
+    let mut scratch = PackScratch::new();
+    let mut alu_costs: Vec<Option<AluCost>> = vec![None; library.alus().len()];
+    let mut mux_costs: Vec<Option<u64>> = Vec::new();
+    let mut related: Vec<u32> = Vec::new();
     // Bank-port occupancy: (bank, 1-based port, wrapped step) → nodes.
     let mut mem_busy: BTreeMap<(BankId, u32, u32), Vec<NodeId>> = BTreeMap::new();
     let mut reg_est = RegEstimate::new();
@@ -407,7 +441,7 @@ pub fn schedule_traced_with_frames(
                             }
                         }
                         queue.pop();
-                        let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                        let extensions = reg_extensions(dfg, &sched, spec, node, step);
                         let f_reg = model.f_reg(
                             reg_est
                                 .count_with(&extensions)
@@ -488,7 +522,7 @@ pub fn schedule_traced_with_frames(
                 );
                 offsets[node.index()] = offset;
                 bounds.on_assign(dfg, node, step);
-                let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                let extensions = reg_extensions(dfg, &sched, spec, node, step);
                 reg_est.commit(&extensions);
                 instr.inc("mfsa.moves_committed", 1);
                 instr.inc("mfsa.mem_moves", 1);
@@ -517,11 +551,6 @@ pub fn schedule_traced_with_frames(
             }
 
             let op = base_op(dfg, node);
-            let commutative = match dfg.node(node).kind() {
-                NodeKind::Op(k) => k.is_commutative(),
-                NodeKind::Stage { base, index, .. } => index == 0 && base.is_commutative(),
-                _ => unreachable!("loops rejected above, mem accesses handled above"),
-            };
 
             let mut best: Option<Candidate> = None;
             let mut n_candidates = 0u64;
@@ -544,45 +573,33 @@ pub fn schedule_traced_with_frames(
                 };
                 let (earliest, latest) = feasible_step_range(&ctx, node);
                 let cycles = ctx.effective_cycles(node);
-                // Operand sources for the f_MUX estimate (independent of the
-                // candidate position in this model).
-                let est = |sig: SignalId| -> EstSource {
-                    match dfg.signal(sig).source() {
-                        SignalSource::PrimaryInput | SignalSource::Constant(_) => {
-                            EstSource::External(sig)
-                        }
-                        SignalSource::Node(p) => {
-                            if config.shares_interconnect() {
-                                match sched.slot(p).map(|s| s.unit) {
-                                    Some(UnitId::Alu { instance }) => EstSource::FromAlu(instance),
-                                    _ => EstSource::Signal(sig),
-                                }
-                            } else {
-                                EstSource::Signal(sig)
-                            }
-                        }
-                    }
-                };
-                let inputs = dfg.node(node).inputs();
-                let mux_op = MuxOp {
-                    left: est(inputs[0]),
-                    right: inputs.get(1).map(|&s| est(s)),
-                    commutative,
-                };
+                // Operand lines for the f_MUX estimate (independent of
+                // the candidate position in this model).
+                let mux_op = mux_op(dfg, &sched, config.shares_interconnect(), node);
 
-                // ALU-level candidate terms (style check + kind
-                // search), memoized per instance: they depend only on
-                // the instance state, which is frozen while this node
-                // scans its frame. Filled lazily on the first step
-                // where the instance is actually free. `Some(None)` =
-                // the instance can never host this op.
-                let mut alu_costs: Vec<Option<AluCost>> = vec![None; instances.len()];
-                // Mux-repacking deltas, also step-invariant but far
-                // more expensive — memoized separately and computed
-                // only for candidates whose ALU-level bound survives
-                // the incumbent cut.
-                let mut mux_costs: Vec<Option<u64>> = vec![None; instances.len()];
-                let fresh_mux = model.f_mux(&[], mux_op);
+                // ALU-level candidate terms (kind search), memoized per
+                // ALU kind: they depend only on the instance's current
+                // kind, which is frozen while this node scans its frame.
+                // Filled lazily on the first free instance of the kind.
+                alu_costs.fill(None);
+                // Mux-repacking deltas, also step-invariant but far more
+                // expensive and specific to each instance's operations —
+                // memoized per instance and computed only for candidates
+                // whose ALU-level bound survives the incumbent cut.
+                mux_costs.clear();
+                mux_costs.resize(instances.len(), None);
+                // Design style 2 keeps an operation off the instances of
+                // its direct predecessors and successors.
+                related.clear();
+                if config.style() == DesignStyle::NoSelfLoop {
+                    related.extend(dfg.preds(node).iter().chain(dfg.succs(node)).filter_map(
+                        |&o| match sched.slot(o).map(|s| s.unit) {
+                            Some(UnitId::Alu { instance }) => Some(instance),
+                            _ => None,
+                        },
+                    ));
+                }
+                let fresh_mux = model.f_mux(&mut scratch, &[], mux_op);
                 let new_kinds: Vec<(usize, u64)> = library
                     .alus()
                     .iter()
@@ -617,7 +634,7 @@ pub fn schedule_traced_with_frames(
                         break;
                     }
                     queue.pop();
-                    let extensions = reg_extensions(dfg, &sched, spec, node, step, config);
+                    let extensions = reg_extensions(dfg, &sched, spec, node, step);
                     let f_reg = model.f_reg(
                         reg_est
                             .count_with(&extensions)
@@ -636,15 +653,10 @@ pub fn schedule_traced_with_frames(
                         if !instance_free(inst, dfg, node, step, cycles, &wrap) {
                             continue;
                         }
-                        let alu = alu_costs[i].get_or_insert_with(|| {
-                            if config.style() == DesignStyle::NoSelfLoop {
-                                let related = inst.ops.iter().any(|&o| {
-                                    dfg.preds(node).contains(&o) || dfg.succs(node).contains(&o)
-                                });
-                                if related {
-                                    return None;
-                                }
-                            }
+                        if related.contains(&(i as u32)) {
+                            continue;
+                        }
+                        let alu = alu_costs[inst.kind_index].get_or_insert_with(|| {
                             let cur_kind = &library.alus()[inst.kind_index];
                             if cur_kind.supports(op) {
                                 Some((inst.kind_index, 0, 0))
@@ -699,9 +711,10 @@ pub fn schedule_traced_with_frames(
                                 return 0;
                             }
                             memo_insert_fallbacks += 1;
-                            let before = *mux_before[i]
-                                .get_or_insert_with(|| model.mux_pair_cost(&inst.mux_ops));
-                            model.f_mux_from(before, &inst.mux_ops, mux_op)
+                            let before = *mux_before[i].get_or_insert_with(|| {
+                                model.mux_pair_cost(&mut scratch, &inst.mux_ops)
+                            });
+                            model.f_mux_from(&mut scratch, before, &inst.mux_ops, mux_op)
                         });
                         let c = Candidate {
                             step,
@@ -796,28 +809,14 @@ pub fn schedule_traced_with_frames(
                 None => {
                     instances.push(Instance {
                         kind_index: chosen.kind_index,
-                        ops: Vec::new(),
-                        mux_ops: Vec::new(),
-                        busy: BTreeMap::new(),
-                        busy_bits: Vec::new(),
+                        ..Instance::default()
                     });
                     mux_before.push(None);
                     mux_seed.push(None);
                     instances.len() - 1
                 }
             };
-            let inst = &mut instances[instance_idx];
-            inst.ops.push(node);
-            inst.mux_ops.push(mux_op);
-            for k in 0..cycles as u32 {
-                let s = wrap(chosen.step.get() + k);
-                inst.busy.entry(s).or_default().push(node);
-                let word = s as usize / 64;
-                if inst.busy_bits.len() <= word {
-                    inst.busy_bits.resize(word + 1, 0);
-                }
-                inst.busy_bits[word] |= 1 << (s % 64);
-            }
+            instances[instance_idx].host(node, chosen.step, cycles, mux_op, &wrap);
             sched.assign(
                 node,
                 Slot {
@@ -829,7 +828,7 @@ pub fn schedule_traced_with_frames(
             );
             offsets[node.index()] = offset;
             bounds.on_assign(dfg, node, chosen.step);
-            let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step, config);
+            let extensions = reg_extensions(dfg, &sched, spec, node, chosen.step);
             reg_est.commit(&extensions);
             instr.inc("mfsa.moves_committed", 1);
             instr.inc(
@@ -915,18 +914,18 @@ pub(crate) fn instance_free(
     if !occupied {
         return true;
     }
-    // Occupied steps are only survivable through mutual exclusion.
+    // Occupied steps are only survivable through mutual exclusion: every
+    // occupant sharing a wrapped step with the probe must exclude it.
     if !dfg.has_exclusions(node) {
         return false;
     }
-    for k in 0..cycles as u32 {
-        if let Some(occ) = inst.busy.get(&wrap(step.get() + k)) {
-            if occ.iter().any(|&o| !dfg.mutually_exclusive(node, o)) {
-                return false;
-            }
-        }
-    }
-    true
+    inst.ops.iter().all(|&(o, start, held)| {
+        let overlaps = (0..held as u32).any(|j| {
+            let s = wrap(start + j);
+            (0..cycles as u32).any(|k| wrap(step.get() + k) == s)
+        });
+        !overlaps || dfg.mutually_exclusive(node, o)
+    })
 }
 
 /// The register-span extensions placing `node` at `step` would cause
@@ -937,9 +936,7 @@ pub(crate) fn reg_extensions(
     spec: &TimingSpec,
     node: NodeId,
     step: CStep,
-    config: &MfsaConfig,
 ) -> Vec<(SignalId, u32, u32)> {
-    let _ = config;
     let mut out = Vec::new();
     for &sig in dfg.node(node).inputs() {
         match dfg.signal(sig).source() {

@@ -7,9 +7,18 @@
 //! operations to the appropriate MUX's of an ALU and then checks two
 //! possibilities for arranging input signals for each commutative
 //! operation in L1 and L2."
+//!
+//! One packing core, [`PackScratch`], runs the construction over dense
+//! `u32` line ids. The algorithm only ever asks whether two sources are
+//! *equal* — never how they order or hash — so any one-to-one
+//! relabelling of sources to ids commits the same orientations and the
+//! same `(|L1|, |L2|)`. The generic entry points ([`pack`],
+//! [`pack_seed`], [`pack_with_seed`], [`pack_cost`]) relabel their
+//! sources once per call (sorted distinct sources, id = position); the
+//! MFSA pricing loop encodes its sources as ids up front and prices
+//! candidates through one reused scratch without allocating.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::BTreeSet;
 
 /// One operation's operand sources as seen by the ALU's two input ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +30,14 @@ pub struct MuxOp<S> {
     pub right: Option<S>,
     /// Whether the operand order may be swapped.
     pub commutative: bool,
+}
+
+impl<S> MuxOp<S> {
+    /// Whether the orientation is fixed: non-commutative and unary ops
+    /// bind their operands to ports 1/2 verbatim (pass 1).
+    fn is_fixed(&self) -> bool {
+        !self.commutative || self.right.is_none()
+    }
 }
 
 /// The packing produced by [`pack`].
@@ -60,16 +77,248 @@ impl<S: Ord> MuxPacking<S> {
 /// assert_eq!(packing.total_inputs(), 2);
 /// assert!(packing.swapped[1]);
 /// ```
-pub fn pack<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> MuxPacking<S> {
-    let p = pack_counts(ops);
-    MuxPacking {
-        l1: p.cnt1.into_keys().collect(),
-        l2: p.cnt2.into_keys().collect(),
-        swapped: p.swapped,
+pub fn pack<S: Ord + Clone>(ops: &[MuxOp<S>]) -> MuxPacking<S> {
+    let (keys, ids) = relabel(ops);
+    let mut scratch = PackScratch::new();
+    scratch.pack(&ids, &[]);
+    scratch.packing(&keys)
+}
+
+/// `(|L1|, |L2|)` of the packing [`pack`] would produce, without
+/// materialising the sorted source lists.
+pub fn pack_cost<S: Ord + Clone>(ops: &[MuxOp<S>]) -> (usize, usize) {
+    PackScratch::new().cost(&relabel(ops).1, None)
+}
+
+/// Relabels `ops` onto dense ids: the sorted distinct sources, and each
+/// op with every source replaced by its position in that list.
+fn relabel<S: Ord + Clone>(ops: &[MuxOp<S>]) -> (Vec<S>, Vec<MuxOp<u32>>) {
+    let mut keys: Vec<S> = ops
+        .iter()
+        .flat_map(|op| std::iter::once(&op.left).chain(&op.right))
+        .cloned()
+        .collect();
+    keys.sort();
+    keys.dedup();
+    let ids = ops
+        .iter()
+        .map(|op| key_ids(&keys, op).expect("every source was collected"))
+        .collect();
+    (keys, ids)
+}
+
+/// `op` with its sources replaced by their positions in the sorted
+/// `keys`, or `None` when a source is not among them.
+fn key_ids<S: Ord>(keys: &[S], op: &MuxOp<S>) -> Option<MuxOp<u32>> {
+    let id = |s: &S| keys.binary_search(s).ok().map(|k| k as u32);
+    Some(MuxOp {
+        left: id(&op.left)?,
+        right: match &op.right {
+            Some(r) => Some(id(r)?),
+            None => None,
+        },
+        commutative: op.commutative,
+    })
+}
+
+/// The packing core: per-port contribution counts over dense line ids,
+/// plus the chosen orientations. Every op contributes exactly one line
+/// to port 1 and (when binary) one to port 2 under its current
+/// orientation; `|L1|` and `|L2|` are the ids with a non-zero count.
+/// Keeping contribution *counts* instead of plain sets is what lets the
+/// refinement pass price a flip in O(1) instead of re-packing all `k`
+/// operations.
+///
+/// The scratch is caller-owned and reusable: a pack resets only the ids
+/// the previous pack touched, so pricing a candidate through one
+/// long-lived scratch costs O(k) with no hashing and no allocation once
+/// the count table has grown to the largest id.
+///
+/// ```
+/// use hls_rtl::muxopt::{pack_cost, MuxOp, PackScratch};
+///
+/// let before = [MuxOp { left: 0u32, right: Some(1), commutative: false }];
+/// let candidate = MuxOp { left: 1, right: Some(0), commutative: true };
+/// let mut scratch = PackScratch::new();
+/// // The commutative candidate swaps onto the lines `before` carries.
+/// assert_eq!(scratch.cost(&before, Some(&candidate)), (1, 1));
+/// assert_eq!(scratch.cost(&before, Some(&candidate)), pack_cost(&[before[0], candidate]));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PackScratch {
+    /// Contribution count per line id, `[port 1, port 2]`.
+    count: Vec<[u32; 2]>,
+    /// Ids with a non-zero count per port: `[|L1|, |L2|]`.
+    lines: [usize; 2],
+    /// Ids whose count left zero since the last reset (duplicates
+    /// allowed), so a reset costs O(touched), not O(largest id).
+    touched: Vec<u32>,
+    /// Chosen orientation per op of the current pack: `true` = swapped.
+    swapped: Vec<bool>,
+}
+
+impl PackScratch {
+    /// An empty scratch; the count table grows to the largest id seen.
+    pub fn new() -> PackScratch {
+        PackScratch::default()
+    }
+
+    /// `(|L1|, |L2|)` of the packing of `before` followed by
+    /// `candidate` — the same pair [`pack_cost`] returns for the
+    /// concatenated list, without building it.
+    pub fn cost(
+        &mut self,
+        before: &[MuxOp<u32>],
+        candidate: Option<&MuxOp<u32>>,
+    ) -> (usize, usize) {
+        self.pack(before, candidate.map_or(&[], std::slice::from_ref));
+        (self.lines[0], self.lines[1])
+    }
+
+    /// The three passes over the list `head ++ tail`. Returns whether
+    /// the refinement pass was a no-op.
+    fn pack(&mut self, head: &[MuxOp<u32>], tail: &[MuxOp<u32>]) -> bool {
+        self.reset(head.len() + tail.len());
+        self.place_fixed(head, tail);
+        self.place_commutative(head, tail);
+        !self.refine(head, tail)
+    }
+
+    fn reset(&mut self, ops: usize) {
+        for &id in &self.touched {
+            self.count[id as usize] = [0, 0];
+        }
+        self.touched.clear();
+        self.lines = [0, 0];
+        self.swapped.clear();
+        self.swapped.resize(ops, false);
+    }
+
+    fn has(&self, port: usize, id: u32) -> bool {
+        self.count.get(id as usize).is_some_and(|c| c[port] > 0)
+    }
+
+    fn add(&mut self, port: usize, id: u32) {
+        let i = id as usize;
+        if i >= self.count.len() {
+            self.count.resize(i + 1, [0, 0]);
+        }
+        let c = &mut self.count[i][port];
+        if *c == 0 {
+            self.lines[port] += 1;
+            self.touched.push(id);
+        }
+        *c += 1;
+    }
+
+    fn remove(&mut self, port: usize, id: u32) {
+        let c = &mut self.count[id as usize][port];
+        assert!(*c > 0, "removed a source that was never added");
+        *c -= 1;
+        if *c == 0 {
+            self.lines[port] -= 1;
+        }
+    }
+
+    /// Pass 1: fixed (non-commutative and unary) operations.
+    fn place_fixed(&mut self, head: &[MuxOp<u32>], tail: &[MuxOp<u32>]) {
+        for op in head.iter().chain(tail) {
+            if op.is_fixed() {
+                self.add(0, op.left);
+                if let Some(r) = op.right {
+                    self.add(1, r);
+                }
+            }
+        }
+    }
+
+    /// Pass 2: commutative operations, greedy orientation. Each op only
+    /// sees the lines the fixed ops and *earlier* commutative ops have
+    /// claimed.
+    fn place_commutative(&mut self, head: &[MuxOp<u32>], tail: &[MuxOp<u32>]) {
+        for (i, op) in head.iter().chain(tail).enumerate() {
+            if op.is_fixed() {
+                continue;
+            }
+            let (l, r) = (op.left, op.right.expect("commutative ops are binary"));
+            let cost_plain = usize::from(!self.has(0, l)) + usize::from(!self.has(1, r));
+            let cost_swap = usize::from(!self.has(0, r)) + usize::from(!self.has(1, l));
+            let (a, b) = if cost_swap < cost_plain {
+                self.swapped[i] = true;
+                (r, l)
+            } else {
+                (l, r)
+            };
+            self.add(0, a);
+            self.add(1, b);
+        }
+    }
+
+    /// Pass 3, the refinement shared by the cold pack and
+    /// [`pack_with_seed`]: re-examine orientations now that all sources
+    /// are known — an early greedy choice may have inserted a source a
+    /// later op made redundant. A flip is taken only when it strictly
+    /// reduces the total, so the pass terminates from any valid count
+    /// state. Dropping an op's current sources frees a line only when
+    /// it was the sole contributor, and its swapped sources cost a line
+    /// only when nobody else supplies them. Returns whether any flip was
+    /// taken — `false` means the input state already was the committed
+    /// fixpoint, the stability [`PackSeed::try_insert`] requires.
+    fn refine(&mut self, head: &[MuxOp<u32>], tail: &[MuxOp<u32>]) -> bool {
+        let mut any = false;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, op) in head.iter().chain(tail).enumerate() {
+                if op.is_fixed() {
+                    continue;
+                }
+                let r = op.right.expect("commutative ops are binary");
+                let (a, b) = if self.swapped[i] {
+                    (r, op.left)
+                } else {
+                    (op.left, r)
+                };
+                // Port 1 carries `a` from this op; flipping replaces
+                // that contribution with `b` (and symmetrically on port
+                // 2). A self-pair changes nothing.
+                if a == b {
+                    continue;
+                }
+                let delta1 = i64::from(!self.has(0, b)) - i64::from(self.count[a as usize][0] == 1);
+                let delta2 = i64::from(!self.has(1, a)) - i64::from(self.count[b as usize][1] == 1);
+                if delta1 + delta2 < 0 {
+                    self.swapped[i] = !self.swapped[i];
+                    self.remove(0, a);
+                    self.add(0, b);
+                    self.remove(1, b);
+                    self.add(1, a);
+                    changed = true;
+                    any = true;
+                }
+            }
+        }
+        any
+    }
+
+    /// The committed packing with ids mapped back to `keys`.
+    fn packing<S: Ord + Clone>(&self, keys: &[S]) -> MuxPacking<S> {
+        let port = |p: usize| {
+            keys.iter()
+                .enumerate()
+                .filter(|&(id, _)| self.has(p, id as u32))
+                .map(|(_, s)| s.clone())
+                .collect()
+        };
+        MuxPacking {
+            l1: port(0),
+            l2: port(1),
+            swapped: self.swapped.clone(),
+        }
     }
 }
 
-/// The committed refcount state of a packed instance: per-port
+/// The committed count state of a packed instance: per-port
 /// contribution counts plus the chosen orientations. This is the state
 /// the MFSA inner loop keeps alive between candidate evaluations —
 /// [`pack_with_seed`] restarts from it instead of replaying the three
@@ -77,14 +326,14 @@ pub fn pack<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> MuxPacking<S> {
 /// that is provably cost-neutral.
 #[derive(Debug, Clone)]
 pub struct PackSeed<S> {
-    cnt1: HashMap<S, usize>,
-    cnt2: HashMap<S, usize>,
-    swapped: Vec<bool>,
-    /// Port keys claimed by the fixed (pass-1) operations alone — the
-    /// coverage a fixed insertion must have to leave passes 1–2
-    /// undisturbed.
-    fixed1: HashSet<S>,
-    fixed2: HashSet<S>,
+    /// The sorted distinct sources; a source's id is its position.
+    keys: Vec<S>,
+    /// The committed counts and orientations over those ids.
+    state: PackScratch,
+    /// Per id, whether the fixed (pass-1) operations alone claim it on
+    /// `[port 1, port 2]` — the coverage a fixed insertion must have to
+    /// leave passes 1–2 undisturbed.
+    fixed: Vec<[bool; 2]>,
     /// Whether the refinement pass was a no-op, i.e. the greedy pass-2
     /// state *is* the committed fixpoint. Only then is an insertion's
     /// replay of the cold construction predictable, so only then does
@@ -95,21 +344,21 @@ pub struct PackSeed<S> {
 impl<S> PackSeed<S> {
     /// Number of operations the seed covers.
     pub fn len(&self) -> usize {
-        self.swapped.len()
+        self.state.swapped.len()
     }
 
     /// Whether the seed covers no operations.
     pub fn is_empty(&self) -> bool {
-        self.swapped.is_empty()
+        self.state.swapped.is_empty()
     }
 
     /// `(|L1|, |L2|)` of the committed packing.
     pub fn cost(&self) -> (usize, usize) {
-        (self.cnt1.len(), self.cnt2.len())
+        (self.state.lines[0], self.state.lines[1])
     }
 }
 
-impl<S: Ord + Hash + Clone> PackSeed<S> {
+impl<S: Ord + Clone> PackSeed<S> {
     /// The safe one-op insertion rule: decides whether appending `op`
     /// to the packed instance is **provably cost-neutral** — the cold
     /// three-pass pack of `ops ∪ {op}` commits the exact same source
@@ -132,10 +381,10 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
     ///   0-vs-0 tie, mirrored here);
     /// * a **fixed** (non-commutative or unary) candidate joins pass 1,
     ///   so its keys must already be claimed by the *fixed* ops —
-    ///   then every `contains_key` query pass 2 makes is unchanged and
-    ///   the earlier greedy decisions replay verbatim;
+    ///   then every line query pass 2 makes is unchanged and the
+    ///   earlier greedy decisions replay verbatim;
     /// * refinement stays a no-op afterwards: a covered insertion only
-    ///   increments refcounts on existing lines, which can only turn
+    ///   increments counts on existing lines, which can only turn
     ///   sole-contributor lines into shared ones — every flip delta
     ///   weakly increases, and the candidate's own flip cannot profit
     ///   because both its lines are shared (count ≥ 2).
@@ -143,17 +392,17 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
         if !self.stable {
             return None;
         }
-        if !op.commutative || op.right.is_none() {
-            let right_ok = match &op.right {
-                Some(r) => self.fixed2.contains(r),
-                None => true,
-            };
-            return (self.fixed1.contains(&op.left) && right_ok).then_some(false);
+        // A source the seed has never seen is on neither port.
+        let op = key_ids(&self.keys, op)?;
+        if op.is_fixed() {
+            let claimed = |port: usize, id: u32| self.fixed[id as usize][port];
+            let right_ok = op.right.is_none_or(|r| claimed(1, r));
+            return (claimed(0, op.left) && right_ok).then_some(false);
         }
-        let r = op.right.as_ref().expect("unary handled above");
-        if self.cnt1.contains_key(&op.left) && self.cnt2.contains_key(r) {
+        let (l, r) = (op.left, op.right.expect("commutative ops are binary"));
+        if self.state.has(0, l) && self.state.has(1, r) {
             Some(false)
-        } else if self.cnt1.contains_key(r) && self.cnt2.contains_key(&op.left) {
+        } else if self.state.has(0, r) && self.state.has(1, l) {
             Some(true)
         } else {
             None
@@ -170,42 +419,53 @@ impl<S: Ord + Hash + Clone> PackSeed<S> {
         let Some(swap) = self.neutral_insertion(op) else {
             return false;
         };
-        let (a, b) = if swap {
-            (op.right.as_ref().expect("only binary ops swap"), &op.left)
-        } else {
-            (&op.left, op.right.as_ref().unwrap_or(&op.left))
+        let op = key_ids(&self.keys, op).expect("a neutral insertion's sources are known");
+        let (a, b) = match op.right {
+            Some(r) if swap => (r, Some(op.left)),
+            r => (op.left, r),
         };
-        add(&mut self.cnt1, a);
-        if op.right.is_some() {
-            add(&mut self.cnt2, b);
+        self.state.add(0, a);
+        if let Some(b) = b {
+            self.state.add(1, b);
         }
-        self.swapped.push(swap);
+        self.state.swapped.push(swap);
         true
     }
 }
 
-/// Packs `ops` and returns the committed refcount state instead of the
+/// Packs `ops` and returns the committed count state instead of the
 /// sorted source lists — the handle an instance keeps for later
 /// [`pack_with_seed`] restarts and [`PackSeed::try_insert`] extensions.
-pub fn pack_seed<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
-    pack_counts(ops)
+pub fn pack_seed<S: Ord + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
+    let (keys, ids) = relabel(ops);
+    let mut state = PackScratch::new();
+    state.reset(ids.len());
+    state.place_fixed(&ids, &[]);
+    let fixed = (0..keys.len() as u32)
+        .map(|id| [state.has(0, id), state.has(1, id)])
+        .collect();
+    state.place_commutative(&ids, &[]);
+    let stable = !state.refine(&ids, &[]);
+    PackSeed {
+        keys,
+        state,
+        fixed,
+        stable,
+    }
 }
 
-/// Re-packs an instance starting from its committed refcount multiset:
-/// the seeded counts and orientations stand in for passes 1–2, and only
-/// the refinement pass runs (a no-op when the seed is already the
-/// pass-3 fixpoint [`pack`] commits, so the result is identical to the
-/// cold pack — the proptest below pins this). Restarting is what makes
-/// the state reusable across MFSA candidate evaluations; extending the
-/// op list under a seed is [`PackSeed::try_insert`].
+/// Re-packs an instance starting from its committed count state: the
+/// seeded counts and orientations stand in for passes 1–2, and only the
+/// refinement pass runs (a no-op when the seed is already the pass-3
+/// fixpoint [`pack`] commits, so the result is identical to the cold
+/// pack — the proptest below pins this). Restarting is what makes the
+/// state reusable across MFSA candidate evaluations; extending the op
+/// list under a seed is [`PackSeed::try_insert`].
 ///
 /// # Panics
 ///
 /// Panics when the seed does not cover exactly `ops`.
-pub fn pack_with_seed<S: Ord + Hash + Clone>(
-    ops: &[MuxOp<S>],
-    seed: &PackSeed<S>,
-) -> MuxPacking<S> {
+pub fn pack_with_seed<S: Ord + Clone>(ops: &[MuxOp<S>], seed: &PackSeed<S>) -> MuxPacking<S> {
     assert_eq!(
         seed.len(),
         ops.len(),
@@ -213,161 +473,13 @@ pub fn pack_with_seed<S: Ord + Hash + Clone>(
         seed.len(),
         ops.len()
     );
-    let mut cnt1 = seed.cnt1.clone();
-    let mut cnt2 = seed.cnt2.clone();
-    let mut swapped = seed.swapped.clone();
-    refine_orientations(ops, &mut cnt1, &mut cnt2, &mut swapped);
-    MuxPacking {
-        l1: cnt1.into_keys().collect(),
-        l2: cnt2.into_keys().collect(),
-        swapped,
-    }
-}
-
-/// `(|L1|, |L2|)` of the packing [`pack`] would produce, without
-/// materialising the sorted source lists. This is the candidate-pricing
-/// entry point: the MFSA inner loop only needs the two line counts for
-/// its `f_MUX` delta, and skipping the list construction keeps the hot
-/// path allocation-free beyond the count maps themselves.
-pub fn pack_cost<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> (usize, usize) {
-    pack_counts(ops).cost()
-}
-
-/// The shared constructive core: contribution counts per port plus the
-/// chosen orientations. The maps are hashed, not ordered — the algorithm
-/// only ever point-queries them (`contains_key`, sole-contributor
-/// checks), never iterates, so hashing cannot change any decision;
-/// [`pack`] sorts the surviving keys at the end, which is where the
-/// deterministic `l1`/`l2` order comes from.
-fn pack_counts<S: Ord + Hash + Clone>(ops: &[MuxOp<S>]) -> PackSeed<S> {
-    // Multiset view of the ports: every op contributes exactly one
-    // source line to port 1 and (when binary) one to port 2 under its
-    // current orientation; |L1| and |L2| are the distinct-key counts.
-    // Keeping contribution *counts* instead of plain sets is what lets
-    // the refinement pass price a flip in O(1) instead of re-packing
-    // all k operations from scratch.
-    let mut cnt1: HashMap<S, usize> = HashMap::with_capacity(ops.len());
-    let mut cnt2: HashMap<S, usize> = HashMap::with_capacity(ops.len());
-    let mut swapped = vec![false; ops.len()];
-
-    // Pass 1: fixed (non-commutative and unary) operations.
-    for op in ops {
-        if !op.commutative || op.right.is_none() {
-            add(&mut cnt1, &op.left);
-            if let Some(r) = &op.right {
-                add(&mut cnt2, r);
-            }
-        }
-    }
-    let fixed1: HashSet<S> = cnt1.keys().cloned().collect();
-    let fixed2: HashSet<S> = cnt2.keys().cloned().collect();
-
-    // Pass 2: commutative operations, greedy orientation. Like the
-    // original set-based construction, each op only sees the lines the
-    // fixed ops and *earlier* commutative ops have claimed.
-    for (i, op) in ops.iter().enumerate() {
-        if !op.commutative || op.right.is_none() {
-            continue;
-        }
-        let r = op.right.as_ref().expect("checked above");
-        let cost_plain =
-            usize::from(!cnt1.contains_key(&op.left)) + usize::from(!cnt2.contains_key(r));
-        let cost_swap =
-            usize::from(!cnt1.contains_key(r)) + usize::from(!cnt2.contains_key(&op.left));
-        if cost_swap < cost_plain {
-            swapped[i] = true;
-            add(&mut cnt1, r);
-            add(&mut cnt2, &op.left);
-        } else {
-            add(&mut cnt1, &op.left);
-            add(&mut cnt2, r);
-        }
-    }
-
-    // Pass 3: re-examine orientations now that all sources are known.
-    let stable = !refine_orientations(ops, &mut cnt1, &mut cnt2, &mut swapped);
-
-    PackSeed {
-        cnt1,
-        cnt2,
-        swapped,
-        fixed1,
-        fixed2,
-        stable,
-    }
-}
-
-fn add<S: Ord + Hash + Clone>(cnt: &mut HashMap<S, usize>, s: &S) {
-    *cnt.entry(s.clone()).or_insert(0) += 1;
-}
-
-fn remove<S: Ord + Hash + Clone>(cnt: &mut HashMap<S, usize>, s: &S) {
-    match cnt.get_mut(s) {
-        Some(1) => {
-            cnt.remove(s);
-        }
-        Some(n) => *n -= 1,
-        None => unreachable!("removed a source that was never added"),
-    }
-}
-
-/// The refinement pass shared by the cold pack (pass 3) and
-/// [`pack_with_seed`]: re-examine orientations now that all sources are
-/// known — an early greedy choice may have inserted a source a later op
-/// made redundant. A flip is taken only when it strictly reduces the
-/// total, so the pass terminates from any valid refcount state. The
-/// flipped total is computed from the contribution counts: dropping
-/// this op's current sources frees a line only when it was the sole
-/// contributor, and its swapped sources cost a line only when nobody
-/// else supplies them. Returns whether any flip was taken — `false`
-/// means the input state already was the committed fixpoint, the
-/// stability [`PackSeed::try_insert`] requires.
-fn refine_orientations<S: Ord + Hash + Clone>(
-    ops: &[MuxOp<S>],
-    cnt1: &mut HashMap<S, usize>,
-    cnt2: &mut HashMap<S, usize>,
-    swapped: &mut [bool],
-) -> bool {
-    let mut any = false;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (i, op) in ops.iter().enumerate() {
-            if !op.commutative || op.right.is_none() {
-                continue;
-            }
-            let r = op.right.as_ref().expect("checked above");
-            let (cur_a, cur_b) = if swapped[i] {
-                (r, &op.left)
-            } else {
-                (&op.left, r)
-            };
-            // Port 1 currently carries cur_a from this op; flipping
-            // replaces that contribution with cur_b (and symmetrically
-            // on port 2). Self-pairs (cur_a == cur_b) change nothing and
-            // fall out as delta 0.
-            let delta1 = if cur_a == cur_b {
-                0
-            } else {
-                i64::from(!cnt1.contains_key(cur_b)) - i64::from(cnt1[cur_a] == 1)
-            };
-            let delta2 = if cur_a == cur_b {
-                0
-            } else {
-                i64::from(!cnt2.contains_key(cur_a)) - i64::from(cnt2[cur_b] == 1)
-            };
-            if delta1 + delta2 < 0 {
-                swapped[i] = !swapped[i];
-                remove(cnt1, cur_a);
-                add(cnt1, cur_b);
-                remove(cnt2, cur_b);
-                add(cnt2, cur_a);
-                changed = true;
-                any = true;
-            }
-        }
-    }
-    any
+    let ids: Vec<MuxOp<u32>> = ops
+        .iter()
+        .map(|op| key_ids(&seed.keys, op).expect("pack_with_seed: a source the seed never saw"))
+        .collect();
+    let mut state = seed.state.clone();
+    state.refine(&ids, &[]);
+    state.packing(&seed.keys)
 }
 
 #[cfg(test)]
@@ -454,34 +566,92 @@ mod tests {
         MuxPacking { l1, l2, swapped }
     }
 
+    /// An op shape drawn by the proptests: `bits` 0 = unary (1 in 8, so
+    /// most ops stay binary), bit 1 = commutative.
+    fn shaped<S: Copy>(l: S, r: S, bits: u8) -> MuxOp<S> {
+        MuxOp {
+            left: l,
+            right: (bits != 0).then_some(r),
+            commutative: bits & 2 != 0,
+        }
+    }
+
+    /// Line ids as the dense core sees them: small, mid-range and large
+    /// ids mixed, so consecutive packs touch disjoint regions of the
+    /// count table and most of the table is skipped.
+    fn sparse_id() -> impl Strategy<Value = u32> {
+        (0usize..3, 0u32..6).prop_map(|(band, k)| [0, 1_000, 60_000][band] + k)
+    }
+
+    fn sparse_ops(max: usize) -> impl Strategy<Value = Vec<MuxOp<u32>>> {
+        proptest::collection::vec(
+            (sparse_id(), sparse_id(), 0u8..8).prop_map(|(l, r, bits)| shaped(l, r, bits)),
+            0..max,
+        )
+    }
+
     proptest! {
         /// The refcount-priced refinement must take the exact flips the
         /// trial-rebuild oracle takes: identical lists *and* identical
         /// orientations, so every downstream `f_MUX` value (and with it
         /// the MFSA tie-break order) is unchanged. Sources are drawn
         /// from a small alphabet to force heavy line sharing, self-pairs
-        /// and duplicate ops.
+        /// and duplicate ops, and the alphabet is mapped onto sparse,
+        /// large ids, so the dense core run directly on the raw ids
+        /// (no relabelling) must agree too.
         #[test]
         fn refcount_packing_matches_the_set_based_oracle(
             ops in proptest::collection::vec(
-                (0u8..6, 0u8..6, 0u8..8),
+                (0usize..6, 0usize..6, 0u8..8),
                 0..12,
             ),
+            palette in proptest::collection::vec(0u32..200_000, 6..7),
         ) {
-            let ops: Vec<MuxOp<u8>> = ops
+            let ops: Vec<MuxOp<u32>> = ops
                 .iter()
-                .map(|&(l, r, bits)| MuxOp {
-                    // `bits` packs the op shape: 0 = unary (1 in 8, so
-                    // most ops stay binary), bit 1 = commutative.
-                    left: l,
-                    right: (bits != 0).then_some(r),
-                    commutative: bits & 2 != 0,
-                })
+                .map(|&(l, r, bits)| shaped(palette[l], palette[r], bits))
                 .collect();
             let fast = pack(&ops);
             let slow = pack_reference(&ops);
             prop_assert_eq!(pack_cost(&ops), (fast.l1.len(), fast.l2.len()));
+            let mut scratch = PackScratch::new();
+            prop_assert_eq!(scratch.cost(&ops, None), (slow.l1.len(), slow.l2.len()));
+            prop_assert_eq!(&scratch.swapped, &slow.swapped);
             prop_assert_eq!(fast, slow);
+        }
+
+        /// One scratch reused across a sequence of packs of unrelated
+        /// lists must commit, for each list, exactly what a fresh
+        /// scratch commits — a count or orientation left over from an
+        /// earlier pack would show up as a line the list never uses.
+        #[test]
+        fn a_reused_scratch_matches_a_fresh_one(
+            lists in proptest::collection::vec(sparse_ops(10), 1..8),
+        ) {
+            let mut reused = PackScratch::new();
+            for ops in &lists {
+                let mut fresh = PackScratch::new();
+                prop_assert_eq!(reused.cost(ops, None), fresh.cost(ops, None));
+                prop_assert_eq!(&reused.swapped, &fresh.swapped);
+            }
+        }
+
+        /// Pricing `before` plus a candidate through the scratch — no
+        /// concatenated list is built — equals the cost of the packing of
+        /// the concatenated list, whatever the scratch priced before.
+        #[test]
+        fn pricing_a_candidate_matches_the_concatenated_pack(
+            warmup in sparse_ops(10),
+            before in sparse_ops(10),
+            candidate in (sparse_id(), sparse_id(), 0u8..8),
+        ) {
+            let candidate = shaped(candidate.0, candidate.1, candidate.2);
+            let mut after = before.clone();
+            after.push(candidate);
+            let mut scratch = PackScratch::new();
+            scratch.cost(&warmup, None);
+            prop_assert_eq!(scratch.cost(&before, Some(&candidate)), pack_cost(&after));
+            prop_assert_eq!(scratch.cost(&before, None), pack_cost(&before));
         }
 
         /// Restarting from the committed refcount multiset must commit
@@ -574,7 +744,7 @@ mod tests {
                 })
                 .unzip();
             let seed = seed_from_orientations(&ops, flips);
-            let start = seed.cnt1.len() + seed.cnt2.len();
+            let start = seed.cost().0 + seed.cost().1;
             let p = pack_with_seed(&ops, &seed);
             prop_assert!(p.total_inputs() <= start);
             for (i, o) in ops.iter().enumerate() {
@@ -591,31 +761,32 @@ mod tests {
         }
     }
 
-    /// Builds the refcount state a given orientation vector induces —
-    /// the test-side stand-in for a seed produced by incremental edits
+    /// Builds the count state a given orientation vector induces — the
+    /// test-side stand-in for a seed produced by incremental edits
     /// rather than a cold pack.
     fn seed_from_orientations(ops: &[MuxOp<u8>], swapped: Vec<bool>) -> PackSeed<u8> {
-        let mut cnt1: HashMap<u8, usize> = HashMap::new();
-        let mut cnt2: HashMap<u8, usize> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            let (a, b) = if swapped[i] {
+        let (keys, ids) = relabel(ops);
+        let mut state = PackScratch::new();
+        state.reset(0);
+        for (op, &swap) in ids.iter().zip(&swapped) {
+            let (a, b) = if swap {
                 (op.right.expect("only binary ops flip"), Some(op.left))
             } else {
                 (op.left, op.right)
             };
-            *cnt1.entry(a).or_insert(0) += 1;
+            state.add(0, a);
             if let Some(b) = b {
-                *cnt2.entry(b).or_insert(0) += 1;
+                state.add(1, b);
             }
         }
-        let fixed1 = cnt1.keys().copied().collect();
-        let fixed2 = cnt2.keys().copied().collect();
+        state.swapped = swapped;
+        let fixed = (0..keys.len() as u32)
+            .map(|id| [state.has(0, id), state.has(1, id)])
+            .collect();
         PackSeed {
-            cnt1,
-            cnt2,
-            swapped,
-            fixed1,
-            fixed2,
+            keys,
+            state,
+            fixed,
             // An arbitrary orientation vector is not a known fixpoint.
             stable: false,
         }

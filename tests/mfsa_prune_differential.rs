@@ -281,3 +281,28 @@ fn branchy_graph_with_zero_time_weight_pins_tie_breaks() {
         assert_equivalent(&dfg, &spec, &config);
     }
 }
+
+/// Design style 2 with many instances of one ALU kind: the pruned loop
+/// memoizes the ALU-level terms (kind after the move, `f_ALU`, flavour)
+/// per ALU kind but still tests relatedness per instance, so an
+/// instance hosting a predecessor or successor must be skipped while an
+/// unrelated instance of the same kind stays a candidate. The oracle
+/// keeps the per-instance memo and scans each instance's operations.
+#[test]
+fn no_self_loop_with_shared_kinds_matches_exhaustive() {
+    let dfg = generate(&scaling_workload(256));
+    let spec = TimingSpec::uniform_single_cycle();
+    let cp = CriticalPath::compute(&dfg, &spec);
+    let config = MfsaConfig::new(cp.steps() as u32 + 4, Library::ncr_like())
+        .with_style(DesignStyle::NoSelfLoop);
+    assert_equivalent(&dfg, &spec, &config);
+    let out = mfsa::schedule(&dfg, &spec, &config).unwrap();
+    let mut kinds: Vec<&str> = out.allocation.iter().map(|(_, k)| k.name()).collect();
+    let instances = kinds.len();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert!(
+        kinds.len() < instances,
+        "expected instances sharing a kind, got {instances} distinct kinds"
+    );
+}
